@@ -41,7 +41,9 @@ searches for a correct-reordering witness of the first detected race
 from __future__ import annotations
 
 import argparse
+import errno
 import os
+import stat
 import sys
 import time
 from typing import List, Optional
@@ -987,9 +989,34 @@ def _cmd_generate(args: argparse.Namespace) -> int:
     return 0
 
 
+def _trace_path_error(path: str) -> Optional[str]:
+    """Why ``path`` cannot be read as a trace file, or None if it can."""
+    try:
+        mode = os.stat(path).st_mode
+    except OSError as error:
+        reason = error.strerror or str(error)
+    else:
+        if stat.S_ISDIR(mode):
+            reason = os.strerror(errno.EISDIR)
+        elif not os.access(path, os.R_OK):
+            reason = os.strerror(errno.EACCES)
+        else:
+            return None
+    return "cannot read trace file %s: %s" % (path, reason)
+
+
 def main(argv: Optional[List[str]] = None) -> int:
     """CLI entry point (also exposed as the ``repro-race`` console script)."""
     args = _build_parser().parse_args(argv)
+    trace = getattr(args, "trace", None)
+    if trace is not None:
+        # Every subcommand taking a trace path checks it here, before any
+        # work: one actionable line instead of a traceback (or, for
+        # push, instead of retrying a local error as a network flap).
+        problem = _trace_path_error(trace)
+        if problem is not None:
+            print("error: %s" % problem, file=sys.stderr)
+            return 2
     if args.command == "analyze":
         return _cmd_analyze(args)
     if args.command == "compare":

@@ -134,15 +134,28 @@ def _line_provider(
         return lines
     if isinstance(lines, (str, Path)):
         path = Path(lines)
+        # Fail before the first connect: a local file problem is not a
+        # network flap, and no retry can fix it.
+        _open_trace(path).close()
 
         def read_file() -> Iterable[str]:
-            with open(path, "r") as handle:
+            with _open_trace(path) as handle:
                 for line in handle:
                     yield line
 
         return read_file
     materialized = list(lines)
     return lambda: materialized
+
+
+def _open_trace(path: Path):
+    """Open a local trace file; failure is a :class:`PushError`, never retried."""
+    try:
+        return open(path, "r")
+    except OSError as error:
+        raise PushError(
+            "cannot read trace file %s: %s" % (path, error.strerror or error)
+        ) from error
 
 
 def _is_event_line(line: str) -> bool:

@@ -48,7 +48,7 @@ from __future__ import annotations
 import itertools
 import queue as queue_module
 from pathlib import Path
-from typing import AsyncIterator, Iterable, Iterator, Optional, Union
+from typing import AsyncIterator, Iterable, Iterator, List, Optional, Union
 
 from repro.trace.event import Event
 from repro.trace.parsers import iter_trace_file, parse_std_batch
@@ -514,12 +514,18 @@ class LineProtocolSource(AsyncEventSource):
     unboundedly.
 
     Decoding is batched: whatever span of complete lines one socket read
-    delivers is split and fed to
+    (at most :attr:`READ_BYTES`) delivers is split and fed to
     :func:`repro.trace.parsers.parse_std_batch` as a single block, so a
     fast producer pays the per-line Python overhead once per *batch*
     while a trickling producer still sees per-line latency (a read
-    returns as soon as any bytes arrive).
+    returns as soon as any bytes arrive).  :meth:`batches` yields each
+    read's events as one list -- the serve tier queues those lists, so
+    its buffering is bounded in reads; ``async for`` over the source
+    flattens the same lists into single events.
     """
+
+    #: Largest socket read, and so the most wire bytes one batch decodes.
+    READ_BYTES = 65536
 
     #: Longest accepted line (bytes, newline excluded).  Replaces the
     #: StreamReader per-line limit the readline-based decoder relied on:
@@ -529,8 +535,7 @@ class LineProtocolSource(AsyncEventSource):
 
     def __init__(self, reader, name: str = "socket",
                  registry: Optional[ThreadRegistry] = None,
-                 initial_lines: Optional[list] = None,
-                 on_line=None) -> None:
+                 initial_lines: Optional[list] = None) -> None:
         self.reader = reader
         self.name = name
         self.registry = registry if registry is not None else ThreadRegistry()
@@ -538,10 +543,10 @@ class LineProtocolSource(AsyncEventSource):
         #: peeked at the stream head (the resume handshake) pushes the
         #: peeked line back through here.
         self.initial_lines = list(initial_lines or [])
-        #: Optional callback invoked with every raw line (bytes) as it is
-        #: consumed -- comments and blanks included -- so a server can
-        #: account wire bytes without re-reading the stream.
-        self.on_line = on_line
+        #: Wire bytes of every complete line decoded so far -- comments
+        #: and blanks included -- so a server can account bytes per batch
+        #: without re-reading the stream.
+        self.bytes_read = 0
         #: The resume handshake: the last durable event offset, advertised
         #: to the peer as a ``resume <offset>`` response line by the serve
         #: protocol; the peer replays its events from that offset on.
@@ -552,37 +557,48 @@ class LineProtocolSource(AsyncEventSource):
         self.resume_offset = events
 
     def __aiter__(self) -> AsyncIterator[Event]:
-        return self._decode()
+        return self._events()
 
-    async def _decode(self) -> AsyncIterator[Event]:
+    async def _events(self) -> AsyncIterator[Event]:
+        async for batch in self.batches():
+            for event in batch:
+                yield event
+
+    async def batches(self) -> AsyncIterator[List[Event]]:
+        """Yield the events of each read as one non-empty list.
+
+        Raises :class:`ValueError` on a grammar error (the message names
+        the absolute line number) or on a line longer than
+        :attr:`MAX_LINE_BYTES`, and :class:`asyncio.IncompleteReadError`
+        when the peer ends the stream mid-line.
+        """
         import asyncio
 
         read = self.reader.read
+        read_bytes = self.READ_BYTES
         registry = self.registry
-        on_line = self.on_line
         index = 0
         line_number = 1
         op_cache: dict = {}
         if self.initial_lines:
             block = []
             for raw in self.initial_lines:
-                data = raw if isinstance(raw, bytes) else raw.encode("utf-8")
-                if on_line is not None:
-                    on_line(data)
-                block.append(
-                    raw.decode("utf-8", "replace")
-                    if isinstance(raw, bytes) else raw
-                )
+                if isinstance(raw, bytes):
+                    self.bytes_read += len(raw)
+                    raw = raw.decode("utf-8", "replace")
+                else:
+                    self.bytes_read += len(raw.encode("utf-8"))
+                block.append(raw)
             events, index, line_number = parse_std_batch(
                 block, index, line_number,
                 registry=registry, op_cache=op_cache,
             )
-            for event in events:
-                yield event
+            if events:
+                yield events
         pending = b""
         max_line = self.MAX_LINE_BYTES
         while True:
-            chunk = await read(65536)
+            chunk = await read(read_bytes)
             if not chunk:
                 if pending:
                     # The peer vanished mid-line.  Surface it as the
@@ -600,6 +616,7 @@ class LineProtocolSource(AsyncEventSource):
                         "(limit %d)" % (len(pending), max_line)
                     )
                 continue
+            consumed = len(pending)
             raw_lines = pending.split(b"\n")
             pending = raw_lines.pop()
             if len(pending) > max_line:
@@ -607,15 +624,13 @@ class LineProtocolSource(AsyncEventSource):
                     "line protocol: %d bytes without a newline (limit %d)"
                     % (len(pending), max_line)
                 )
-            if on_line is not None:
-                for raw in raw_lines:
-                    on_line(raw + b"\n")
+            self.bytes_read += consumed - len(pending)
             events, index, line_number = parse_std_batch(
                 [raw.decode("utf-8", "replace") for raw in raw_lines],
                 index, line_number, registry=registry, op_cache=op_cache,
             )
-            for event in events:
-                yield event
+            if events:
+                yield events
 
 
 def _skip_prefix(events: Iterator[Event], skip: int) -> Iterator[Event]:

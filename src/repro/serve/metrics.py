@@ -4,7 +4,9 @@ One :class:`ServeMetrics` instance per server aggregates everything the
 operators of a multi-tenant race-prediction service ask first:
 
 * lifecycle counters -- accepted / completed / rejected / shed / evicted /
-  restored / drained / disconnected / errored streams;
+  restored / drained / disconnected / errored streams -- and
+  ``drive_wakeups``, the batches session drive loops took off their
+  queues (one per decoded read, not per event);
 * per-tenant throughput -- events, bytes, streams and an events/sec rate
   over the tenant's active window;
 * per-detector cost -- the engine's existing cost accounting
@@ -40,6 +42,10 @@ _COUNTERS = (
     "disconnected",
     "errored",
     "handshake_timeout",
+    # Not a lifecycle stage: batches taken off session queues by drive
+    # loops.  Divided by the tenants' events it gives the per-event share
+    # of event-loop wake-ups the serve tier pays.
+    "drive_wakeups",
 )
 
 #: Sharded-engine supervision counters folded off completed results, in

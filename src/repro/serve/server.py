@@ -7,28 +7,33 @@ connection" into a governed multi-stream service.  Two layers:
     Owns one connection end to end: the handshake peek (``/stats``
     query, ``# stream-id:`` directive, tenant derivation), admission,
     and the pump/drive pair that replaces the engine's plain ``async
-    for``.  The *pump* task decodes STD lines off the socket into a
-    bounded :class:`asyncio.Queue`; the *drive* loop takes events off
-    the queue and steps them through a shared
-    :class:`~repro.engine.engine.EnginePass`.  Decoupling the two is
-    what buys every serve-tier feature in one structure:
+    for``.  The *pump* task forwards the decoded batches of
+    :meth:`~repro.engine.sources.LineProtocolSource.batches` -- one list
+    of events per socket read -- into a :class:`asyncio.Queue` bounded
+    in batches, so a session buffers at most a few reads; the *drive*
+    loop takes one batch per queue wait and steps its events through a
+    shared :class:`~repro.engine.engine.EnginePass`.  Decoupling the two
+    is what buys every serve-tier feature in one structure:
 
     * **backpressure** -- a full queue blocks the pump, which stops
       reading, which makes the transport pause the peer (TCP flow
       control); nothing buffers unboundedly;
-    * **quotas** -- the drive loop charges each event to the tenant's
-      token bucket: small deficits throttle (sleep), large ones shed
-      with an explicit ``error Overloaded: ...; retry after <n>s``;
+    * **quotas** -- with a rate quota set, the drive loop charges each
+      event to the tenant's token bucket: small deficits throttle
+      (sleep), large ones shed with an explicit
+      ``error Overloaded: ...; retry after <n>s``.  Checks that are off
+      for the session cost one test per batch, not per event;
     * **idle eviction** -- a quiescent stream (queue empty, no event
-      for ``idle_evict_after_s``) is checkpointed through the PR 5
-      snapshot protocol and its detectors are *dropped*; the next event
+      for ``idle_evict_after_s``) is checkpointed through the detector
+      snapshot protocol and its detectors are *dropped*; the next batch
       transparently restores them.  The driver-owned online validator
       stays live, so validator position always equals pass position --
       the invariant that makes every checkpoint resumable;
     * **graceful drain** -- when the server's drain event is set
-      (SIGTERM), the loop checkpoints the pass and replies
-      ``resume <offset>``: the client re-attaches to a fresh instance
-      through the existing handshake and replays from the offset;
+      (SIGTERM), the loop checkpoints the pass between batches and
+      replies ``resume <offset>`` naming the last event stepped: the
+      client re-attaches to a fresh instance through the existing
+      handshake and replays from the offset;
     * **disconnect hardening** -- an abrupt peer reset surfaces as a
       recorded ``disconnected`` stat and a clean close, never a
       traceback through the accept loop.
@@ -74,8 +79,13 @@ __all__ = ["ServeSettings", "SessionDriver", "RaceServer"]
 
 logger = logging.getLogger("repro.serve")
 
-#: Queue item kinds produced by the pump.
-_EVENT, _ERROR, _EOF = "event", "error", "eof"
+#: Queue sentinels the pump sends in place of a batch.
+_ERROR, _EOF = "error", "eof"
+
+#: Batches the pump may queue ahead of the drive.  Each batch is the
+#: events of one read of at most ``LineProtocolSource.READ_BYTES``, so
+#: this bounds a session's buffered input in bytes, not events.
+_QUEUED_BATCHES = 2
 
 #: Exceptions meaning "the peer went away", not "the stream is bad".
 _DISCONNECTS = (
@@ -126,7 +136,6 @@ class ServeSettings:
         checkpoint_dir=None,
         idle_evict_after_s: Optional[float] = None,
         idle_poll_s: float = 0.5,
-        queue_maxsize: int = 256,
         sample_every: int = 64,
         mem_check_every: int = 4096,
         metrics_port: Optional[int] = None,
@@ -143,7 +152,6 @@ class ServeSettings:
         self.idle_evict_after_s = idle_evict_after_s
         #: Cadence of the drive loop's idle tick (drain/eviction checks).
         self.idle_poll_s = idle_poll_s
-        self.queue_maxsize = queue_maxsize
         #: Every Nth event is latency-timed (keeps sampling off the hot path).
         self.sample_every = sample_every
         #: Events between detector-memory estimates when a memory quota is set.
@@ -255,9 +263,10 @@ class SessionDriver:
         #: In-memory copy of the eviction checkpoint (restore never
         #: needs to re-read the file it just wrote).
         self._evicted: Optional[Checkpoint] = None
-        self._bytes_read = 0
-        self._bytes_seen = 0
-        self._check_memory = False
+        #: Events the pump has decoded that no batch in hand covers yet.
+        self._queued_events = 0
+        #: Pass offset just past the batch the drive is stepping.
+        self._batch_end = 0
 
     # ------------------------------------------------------------------ #
     # Entry point
@@ -390,10 +399,6 @@ class SessionDriver:
                 return False
             self.tenant = self.session.tenant
             self.metrics.record_accept(self.tenant)
-            self._check_memory = (
-                self.manager.quotas.quota_for(self.tenant).max_detector_bytes
-                is not None
-            )
         elif stream_id is not None:
             self.tenant = tenant_of(stream_id)
         if stream_id is not None:
@@ -497,7 +502,6 @@ class SessionDriver:
             self.reader, name=self.name,
             registry=self.registry,
             initial_lines=self.initial_lines,
-            on_line=self._count_bytes,
         )
         if self.registry is None:
             self.registry = source.registry
@@ -506,20 +510,22 @@ class SessionDriver:
             source.seek_events(self._resume_checkpoint.events)
         return source
 
-    def _count_bytes(self, raw: bytes) -> None:
-        self._bytes_read += len(raw)
+    async def _pump(self, source: LineProtocolSource,
+                    queue: asyncio.Queue) -> None:
+        """Decode reads off the wire into the bounded queue of batches.
 
-    async def _pump(self, source, queue: asyncio.Queue) -> None:
-        """Decode events off the wire into the bounded queue.
-
-        A full queue blocks the ``put``, which stops the reads, which
-        makes the transport pause the peer: the backpressure chain.
-        Stream errors are forwarded as queue items so the drive loop
-        owns every reply.
+        Each item is one read's events plus the wire bytes they came
+        from.  A full queue blocks the ``put``, which stops the reads,
+        which makes the transport pause the peer: the backpressure
+        chain.  Stream errors are forwarded as queue items so the drive
+        loop owns every reply.
         """
+        accounted = 0
         try:
-            async for event in source:
-                await queue.put((_EVENT, event))
+            async for batch in source.batches():
+                self._queued_events += len(batch)
+                await queue.put((batch, source.bytes_read - accounted))
+                accounted = source.bytes_read
         except asyncio.CancelledError:
             raise
         except Exception as error:  # forwarded: the drive loop replies
@@ -527,67 +533,49 @@ class SessionDriver:
         else:
             await queue.put((_EOF, None))
 
+    def _buffered_events(self) -> int:
+        """Decoded events not yet stepped: queued batches plus the rest
+        of the batch in hand."""
+        pending = self._queued_events
+        if self._pass is not None:
+            pending += max(0, self._batch_end - self._pass.events)
+        return pending
+
     async def _drive(self) -> Optional[EngineResult]:
         source = self._make_source()
-        queue: asyncio.Queue = asyncio.Queue(self.settings.queue_maxsize)
+        queue: asyncio.Queue = asyncio.Queue(_QUEUED_BATCHES)
         if self.session is not None:
-            self.session.queue_depth = queue.qsize
+            self.session.queue_depth = self._buffered_events
         pump = asyncio.ensure_future(self._pump(source, queue))
-        settings = self.settings
-        sample_every = settings.sample_every
-        clock = time.perf_counter
+        idle_poll_s = self.settings.idle_poll_s
         try:
             while True:
                 if self.drain_event is not None and self.drain_event.is_set():
                     return await self._drain_session()
-                try:
-                    kind, payload = await asyncio.wait_for(
-                        queue.get(), timeout=settings.idle_poll_s
-                    )
-                except asyncio.TimeoutError:
-                    self._maybe_evict(queue)
-                    continue
-                if kind is _EOF:
+                if queue.empty():
+                    # The only blocking wait: its timeout is the idle
+                    # tick that eviction runs on.
+                    try:
+                        batch, payload = await asyncio.wait_for(
+                            queue.get(), timeout=idle_poll_s
+                        )
+                    except asyncio.TimeoutError:
+                        self._maybe_evict(queue)
+                        continue
+                else:
+                    # Let the pump and other connections run between
+                    # batches, then take the next one without a wait.
+                    await asyncio.sleep(0)
+                    batch, payload = queue.get_nowait()
+                self._count("drive_wakeups")
+                if batch is _EOF:
                     break
-                if kind is _ERROR:
+                if batch is _ERROR:
                     raise payload
                 if self._pass is None:
                     self._restore_evicted()
-                if self.manager is not None:
-                    wait = self.manager.quotas.throttle(self.tenant)
-                    if wait > 0:
-                        await asyncio.sleep(wait)
-                pass_ = self._pass
-                sampled = (
-                    self.metrics is not None
-                    and pass_.events % sample_every == 0
-                )
-                began = clock() if sampled else 0.0
-                if self.validator is not None:
-                    self.validator.check(payload)
-                stop = pass_.step(payload)
-                if (
-                    settings.fault_plan is not None
-                    and settings.fault_plan.disconnect_at(pass_.events)
-                ):
-                    # Injected mid-stream client disconnect: surfaces
-                    # through the same governed path as a real peer reset.
-                    raise ConnectionResetError(
-                        "injected disconnect at event %d" % pass_.events
-                    )
-                if sampled:
-                    self.metrics.observe_latency(clock() - began)
-                self._note_event()
-                if (
-                    self._check_memory
-                    and pass_.events % settings.mem_check_every == 0
-                ):
-                    estimate = sum(
-                        len(d.state_snapshot()) for d in pass_.detectors
-                    )
-                    self.session.detector_memory_bytes = estimate
-                    self.manager.quotas.check_memory(self.tenant, estimate)
-                if stop is not None:
+                self._queued_events -= len(batch)
+                if await self._step_batch(batch, payload):
                     break
             return await self._finish()
         finally:
@@ -597,13 +585,71 @@ class SessionDriver:
             except (asyncio.CancelledError, *_DISCONNECTS):
                 pass
 
-    def _note_event(self) -> None:
-        delta = self._bytes_read - self._bytes_seen
-        self._bytes_seen = self._bytes_read
+    async def _step_batch(self, batch: list, wire_bytes: int) -> bool:
+        """Validate and step one batch; True when the pass should stop.
+
+        Governance that is off for this session is resolved here, once
+        per batch; what is on still runs for every event.
+        """
+        pass_ = self._pass
+        settings = self.settings
+        first = pass_.events
+        self._batch_end = first + len(batch)
+        throttle = None
+        check_memory = False
+        if self.manager is not None:
+            quotas = self.manager.quotas
+            quota = quotas.quota_for(self.tenant)
+            if quota.events_per_sec is not None:
+                throttle = quotas.throttle
+            check_memory = quota.max_detector_bytes is not None
+        fault_plan = settings.fault_plan
+        sample_every = settings.sample_every if self.metrics is not None else 0
+        mem_check_every = settings.mem_check_every
+        check = self.validator.check if self.validator is not None else None
+        step = pass_.step
+        clock = time.perf_counter
+        try:
+            for event in batch:
+                if throttle is not None:
+                    wait = throttle(self.tenant)
+                    if wait > 0:
+                        await asyncio.sleep(wait)
+                sampled = sample_every and pass_.events % sample_every == 0
+                if sampled:
+                    began = clock()
+                if check is not None:
+                    check(event)
+                stop = step(event)
+                if (
+                    fault_plan is not None
+                    and fault_plan.disconnect_at(pass_.events)
+                ):
+                    # Injected mid-stream client disconnect: surfaces
+                    # through the same governed path as a real peer reset.
+                    raise ConnectionResetError(
+                        "injected disconnect at event %d" % pass_.events
+                    )
+                if sampled:
+                    self.metrics.observe_latency(clock() - began)
+                if check_memory and pass_.events % mem_check_every == 0:
+                    estimate = sum(
+                        len(d.state_snapshot()) for d in pass_.detectors
+                    )
+                    self.session.detector_memory_bytes = estimate
+                    self.manager.quotas.check_memory(self.tenant, estimate)
+                if stop is not None:
+                    return True
+            return False
+        finally:
+            self._batch_end = pass_.events
+            self._note_events(pass_.events - first, wire_bytes)
+
+    def _note_events(self, events: int, wire_bytes: int) -> None:
         if self.session is not None:
-            self.session.note_events(1, bytes_=delta)
+            self.session.note_events(events, bytes_=wire_bytes)
         if self.metrics is not None:
-            self.metrics.add_events(self.tenant, 1, delta)
+            self.metrics.add_events(self.tenant, events, wire_bytes)
 
     # ------------------------------------------------------------------ #
     # Completion / drain / eviction

@@ -225,6 +225,41 @@ class TestLineProtocolSource:
         direct = detect_races(IterableSource(iter(trace), name="wire"))
         assert _fingerprint(wire) == _fingerprint(direct)
 
+    def test_batches_yield_one_list_per_read(self):
+        """Each read's events arrive as one list; the per-event iterator
+        flattens the same lists, and bytes_read counts every complete
+        line, comments and blanks included."""
+        first = b"# comment\nt1|acq(l)|a:1\n\nt1|w(x)|a:2\nt1|re"
+        second = b"l(l)|a:3\n"
+
+        async def run():
+            reader = asyncio.StreamReader()
+            reader.feed_data(first)
+            source = LineProtocolSource(reader, name="wire")
+            batches = source.batches()
+            one = await batches.__anext__()
+            read_after_one = source.bytes_read
+            reader.feed_data(second)
+            reader.feed_eof()
+            rest = [batch async for batch in batches]
+            flat = [
+                event async for event in LineProtocolSource(
+                    self._feed_reader((first + second).decode()), name="wire"
+                )
+            ]
+            return one, read_after_one, rest, source.bytes_read, flat
+
+        one, read_after_one, rest, total, flat = asyncio.run(run())
+        assert [(e.index, str(e.etype)) for e in one] == [(0, "acq"), (1, "w")]
+        assert [[(e.index, str(e.etype)) for e in batch] for batch in rest] == [
+            [(2, "rel")]
+        ]
+        assert read_after_one == len(first) - len(b"t1|re")
+        assert total == len(first + second)
+        assert [(e.index, str(e.etype)) for e in flat] == [
+            (e.index, str(e.etype)) for e in one + rest[0]
+        ]
+
     def test_malformed_wire_stream_raises_validation_error(self):
         async def run():
             reader = self._feed_reader("t1|acq(l)\nt2|acq(l)\n")

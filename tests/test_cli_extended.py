@@ -2,6 +2,8 @@
 
 import json
 
+import pytest
+
 from repro.cli import main
 from repro.trace.writers import dump_trace
 from repro.bench.paper_figures import figure_1a, figure_2b, figure_5
@@ -58,3 +60,34 @@ class TestWitnessCommand:
         # Either the witness is found immediately or the budget message shows.
         assert code in (1, 2)
         assert "witness" in output or "budget" in output
+
+
+#: Every subcommand that takes a trace path, with the flags it needs.
+_TRACE_COMMANDS = [
+    ["analyze"],
+    ["analyze", "--stream"],
+    ["analyze", "--shards", "2", "--shard-mode", "serial"],
+    ["compare"],
+    ["stats"],
+    ["witness"],
+    # Nothing listens on the port: the path check fires before a connect.
+    ["push", "--port", "1", "--retries", "0"],
+]
+
+
+class TestUnreadableTracePath:
+    @pytest.mark.parametrize("command", _TRACE_COMMANDS,
+                             ids=lambda argv: "-".join(argv[:2]))
+    @pytest.mark.parametrize("kind", ["missing", "directory"])
+    def test_one_error_line_and_exit_2(self, tmp_path, capsys, command, kind):
+        path = tmp_path / "missing.std" if kind == "missing" else tmp_path
+        argv = [command[0], str(path)] + command[1:]
+        code = main(argv)
+        captured = capsys.readouterr()
+        reason = ("No such file or directory" if kind == "missing"
+                  else "Is a directory")
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err.splitlines() == [
+            "error: cannot read trace file %s: %s" % (path, reason)
+        ]

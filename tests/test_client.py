@@ -196,6 +196,56 @@ class TestLineProvider:
         assert [line.strip() for line in provider()] == ["x", "y"]
 
 
+class TestUnreadableLocalTrace:
+    """A missing or unreadable local trace is the user's mistake, not a
+    network flap: it fails at once, before any connection is made."""
+
+    @pytest.fixture
+    def listener(self):
+        sock = socket.socket()
+        sock.bind(("127.0.0.1", 0))
+        sock.listen(1)
+        sock.setblocking(False)
+        yield sock
+        sock.close()
+
+    @staticmethod
+    def _assert_never_connected(listener):
+        with pytest.raises(BlockingIOError):
+            listener.accept()
+
+    @pytest.mark.parametrize("kind", ["missing", "directory"])
+    def test_client_push_fails_before_connecting(self, tmp_path, listener,
+                                                  kind):
+        path = tmp_path / "missing.std" if kind == "missing" else tmp_path
+        client = RaceClient(port=listener.getsockname()[1], retries=5,
+                            sleep=lambda s: pytest.fail("retried"))
+        with pytest.raises(PushError, match="cannot read trace file") as exc:
+            client.push(str(path))
+        assert not isinstance(exc.value, RetriesExhausted)
+        assert client.stats["connects"] == 0
+        self._assert_never_connected(listener)
+
+    def test_cli_push_missing_file_is_one_error_line(self, tmp_path, listener,
+                                                     capsys):
+        from repro.cli import main
+
+        missing = tmp_path / "missing.std"
+        began = time.monotonic()
+        code = main(["push", str(missing),
+                     "--port", str(listener.getsockname()[1])])
+        elapsed = time.monotonic() - began
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err.splitlines() == [
+            "error: cannot read trace file %s: No such file or directory"
+            % missing
+        ]
+        assert elapsed < 1.0
+        self._assert_never_connected(listener)
+
+
 # --------------------------------------------------------------------- #
 # Retry semantics against scripted servers
 # --------------------------------------------------------------------- #

@@ -1032,3 +1032,133 @@ class TestHandshakeTimeout:
             await server.close()
 
         asyncio.run(run())
+
+
+# --------------------------------------------------------------------- #
+# Batches as the unit of work: wire errors across reads, drive counters
+# --------------------------------------------------------------------- #
+
+
+def _writes_payload(events):
+    """``events`` single-thread writes: race-free and always valid."""
+    return "".join("t1|w(x)|a:%d\n" % i for i in range(events))
+
+
+class TestLineProtocolAcrossReads:
+    def test_grammar_error_in_a_later_read_names_its_absolute_line(self):
+        """The decoder's line count carries across reads: an error in the
+        second read is reported at its line number in the whole stream."""
+        first = _writes_payload(30)
+        # Stream lines 31-40 are valid; line 41 is malformed.
+        second = _writes_payload(10) + "t1|bogus|a:41\n" + _writes_payload(5)
+
+        async def run():
+            server = await _start_server()
+            try:
+                reader, writer = await _connect(server)
+                writer.write(first.encode("utf-8"))
+                await writer.drain()
+                # The first read is decoded and stepped before the
+                # second write leaves the client.
+                await _until(lambda: server.manager.live()
+                             and server.manager.live()[0].events == 30)
+                writer.write(second.encode("utf-8"))
+                writer.write_eof()
+                response = (await reader.read()).decode("utf-8")
+                writer.close()
+            finally:
+                await server.close()
+            return response, server.metrics.counters
+
+        response, counters = asyncio.run(run())
+        assert response.splitlines() == [response.strip()]
+        assert response.startswith("error TraceParseError: line 41: ")
+        assert "bogus" in response
+        assert counters["errored"] == 1
+
+    def test_unterminated_line_over_the_limit_is_one_error_reply(self):
+        from repro import LineProtocolSource
+
+        limit = LineProtocolSource.MAX_LINE_BYTES
+        # A valid handshake line, then exactly limit + 1 bytes with no
+        # newline: the server has read every byte when it rejects the
+        # line, so its close is clean and the reply cannot be lost.
+        payload = b"t1|w(x)|a:1\n" + b"t1|w(" + b"x" * (limit - 4)
+
+        async def run():
+            server = await _start_server()
+            try:
+                reader, writer = await _connect(server)
+                writer.write(payload)
+                await writer.drain()
+                response = (await reader.read()).decode("utf-8")
+                writer.close()
+            finally:
+                await server.close()
+            return response, server.metrics.counters
+
+        response, counters = asyncio.run(run())
+        assert response == (
+            "error ValueError: line protocol: %d bytes without a newline "
+            "(limit %d)\n" % (limit + 1, limit)
+        )
+        assert counters["errored"] == 1
+        assert counters["disconnected"] == 0
+
+
+class TestDriveCounters:
+    def test_one_write_costs_a_few_drive_wakeups(self):
+        events = 2000
+
+        async def run():
+            server = await _start_server()
+            try:
+                response = await _roundtrip(server, _writes_payload(events))
+                stats = await _roundtrip(server, "/stats\n")
+                data = server.metrics.to_dict(server.manager)
+            finally:
+                await server.close()
+            return response, stats, data
+
+        response, stats, data = asyncio.run(run())
+        assert response.splitlines()[-1] == "done %d" % events
+        wakeups = data["counters"]["drive_wakeups"]
+        assert 1 <= wakeups <= 0.05 * events
+        assert "drive_wakeups %d" % wakeups in stats.splitlines()
+
+    def test_queue_depth_counts_buffered_events_not_batches(self):
+        """While the drive is held (a rate quota sleeps it after the first
+        event), every decoded event not yet stepped is reported."""
+        events = 2000
+        quotas = QuotaManager(
+            TenantQuota(events_per_sec=1.0, burst_events=1.0),
+            throttle_budget_s=10.0,
+        )
+
+        async def run():
+            server = await _start_server(
+                settings=ServeSettings(port=0, quotas=quotas)
+            )
+            try:
+                reader, writer = await _connect(server)
+                writer.write(_writes_payload(events).encode("utf-8"))
+                writer.write_eof()
+                await writer.drain()
+                await _until(
+                    lambda: server.manager.queue_depth() == events - 1
+                )
+                data = server.metrics.to_dict(server.manager)
+                # Lift the quota: the held drive finishes the stream.
+                quotas.set_quota(ANONYMOUS_TENANT, TenantQuota())
+                response = (await reader.read()).decode("utf-8")
+                writer.close()
+                depth_after = server.manager.queue_depth()
+            finally:
+                await server.close()
+            return data, response, depth_after
+
+        data, response, depth_after = asyncio.run(run())
+        assert data["queue_depth"] == events - 1
+        assert data["sessions"][0]["queue_depth"] == events - 1
+        assert response.splitlines()[-1] == "done %d" % events
+        assert depth_after == 0
