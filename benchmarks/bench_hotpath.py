@@ -50,6 +50,15 @@ active; a deliberate ``REPRO_CLOCK_KERNEL=python`` fallback skips it
 with a notice, and the emitted JSON records ``kernel_backend`` so CI can
 fail on an *accidental* fallback.
 
+A third, **layer gate** covers batch loading: on the 40k-event
+``high_contention`` STD file, the best-of-N ``Trace(...)`` build
+(validation included) must take at most ``TRACE_BUILD_CEILING`` (1.0x)
+the best-of-N decode of the same file, both measured in this process.
+The build does only what the vector-clock detectors need and leaves the
+lock structure to first use, so it costs less than decoding; a rebuilt
+eager index (~2x decode) fails the gate.  The measured ratio is recorded
+in ``BENCH_hotpath.json`` under ``trace_build``.
+
 Sharded mode
 ------------
 ``--sharded`` switches to the multi-core benchmark: WCP throughput on the
@@ -81,6 +90,8 @@ import os
 import platform
 import random
 import sys
+import tempfile
+import time
 from pathlib import Path
 
 from repro.core.wcp import WCPDetector
@@ -88,7 +99,10 @@ from repro.core.wcp_legacy import LegacyWCPDetector
 from repro.engine import EngineConfig, RaceEngine, ShardedEngine
 from repro.hb import FastTrackDetector, HBDetector
 from repro.trace.event import Event, EventType
+from repro.trace.parsers import iter_trace_file
 from repro.trace.trace import Trace
+from repro.trace.writers import dump_trace
+from repro.vectorclock.registry import ThreadRegistry
 from repro.vectorclock import kernels
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
@@ -124,6 +138,11 @@ KERNEL_GAIN_FLOOR = 1.5
 #: The kernel gate is enforced on this workload (the one the kernels
 #: target); the others are reported for context.
 KERNEL_GATE_WORKLOAD = "high_contention"
+
+#: Layer gate: best-of-N Trace build over best-of-N decode of the same
+#: 40k-event STD file (in quick runs too: the ratio needs a real size).
+TRACE_BUILD_CEILING = 1.0
+TRACE_BUILD_REPEATS = 7
 
 FULL_EVENTS = 40000
 QUICK_EVENTS = 8000
@@ -310,6 +329,40 @@ def measure(trace: Trace, repeats: int) -> dict:
     }
 
 
+def measure_trace_build() -> dict:
+    """Best-of-N decode vs ``Trace`` build of the 40k high_contention file.
+
+    Each repeat decodes the file exactly as :func:`load_trace` does
+    (streaming parser, shared registry) and then builds the validated
+    ``Trace`` from those events; the two phases are timed separately.
+    """
+    trace = high_contention_trace(FULL_EVENTS)
+    decode_s = build_s = float("inf")
+    with tempfile.TemporaryDirectory() as scratch:
+        path = dump_trace(trace, Path(scratch) / "high_contention.std")
+        for _ in range(TRACE_BUILD_REPEATS):
+            registry = ThreadRegistry()
+            start = time.perf_counter()
+            events = list(iter_trace_file(path, registry=registry))
+            decoded = time.perf_counter()
+            Trace(events, name="high_contention", registry=registry)
+            built = time.perf_counter()
+            decode_s = min(decode_s, decoded - start)
+            build_s = min(build_s, built - decoded)
+    ratio = build_s / decode_s
+    print("%-16s %8d events | decode %.1f ms, Trace build %.1f ms: "
+          "build/decode x%.2f" % ("trace_build", len(trace),
+                                  decode_s * 1e3, build_s * 1e3, ratio))
+    return {
+        "workload": "high_contention",
+        "events": len(trace),
+        "decode_s": round(decode_s, 4),
+        "build_s": round(build_s, 4),
+        "build_vs_decode": round(ratio, 3),
+        "ceiling": TRACE_BUILD_CEILING,
+    }
+
+
 def run_benchmark(quick: bool) -> dict:
     n_events = QUICK_EVENTS if quick else FULL_EVENTS
     repeats = QUICK_REPEATS if quick else FULL_REPEATS
@@ -331,6 +384,7 @@ def run_benchmark(quick: bool) -> dict:
         "kernel_fallback_reason": kernels.FALLBACK_REASON,
         "pre_kernel_speedups": PRE_KERNEL_SPEEDUPS,
         "workloads": workloads,
+        "trace_build": measure_trace_build(),
     }
 
 
@@ -388,6 +442,15 @@ def check_regression(result: dict, baseline_path: Path) -> int:
                 % (result.get("kernel_fallback_reason") or "unknown reason",
                    gain)
             )
+    build = result["trace_build"]
+    print("trace build gate: build/decode x%.2f (ceiling x%.1f)"
+          % (build["build_vs_decode"], TRACE_BUILD_CEILING))
+    if build["build_vs_decode"] > TRACE_BUILD_CEILING:
+        failures.append(
+            "trace build gate: Trace(...) build takes x%.2f the decode time "
+            "of the same file, above the x%.1f ceiling"
+            % (build["build_vs_decode"], TRACE_BUILD_CEILING)
+        )
     if failures:
         print("\nPERF REGRESSION:")
         for failure in failures:

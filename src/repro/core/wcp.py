@@ -1528,21 +1528,23 @@ class WCPDetector(Detector):
                 "holder": state.holder,
                 "tainted": state.tainted,
                 "releasers": state.releasers,
+                # Cells are created in set-iteration order (string hashes
+                # vary per process); sorting keeps the bytes canonical.
                 "lr": {
                     variable: self._cell_state(cell)
-                    for variable, cell in state.lr.items()
+                    for variable, cell in sorted(state.lr.items())
                 },
                 "lw": {
                     variable: self._cell_state(cell)
-                    for variable, cell in state.lw.items()
+                    for variable, cell in sorted(state.lw.items())
                 },
                 "read_lr": {
                     variable: self._cell_state(cell)
-                    for variable, cell in state.read_lr.items()
+                    for variable, cell in sorted(state.read_lr.items())
                 },
                 "read_lw": {
                     variable: self._cell_state(cell)
-                    for variable, cell in state.read_lw.items()
+                    for variable, cell in sorted(state.read_lw.items())
                 },
                 "evicted_acq": state.evicted_acq,
                 "evicted_rel": state.evicted_rel,

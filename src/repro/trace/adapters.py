@@ -55,7 +55,7 @@ import re
 from typing import Dict, Iterable, Iterator, Optional, Set
 
 from repro.trace.event import Event, EventType
-from repro.trace.parsers import TraceParseError
+from repro.trace.parsers import TraceParseError, takes_lines
 from repro.vectorclock.registry import ThreadRegistry
 
 __all__ = ["iter_mtrace_events", "iter_tsan_events", "ADAPTERS"]
@@ -75,6 +75,7 @@ _MTRACE_SIMPLE = {
 }
 
 
+@takes_lines
 def iter_mtrace_events(
     lines: Iterable[str], registry: Optional[ThreadRegistry] = None
 ) -> Iterator[Event]:
@@ -162,6 +163,7 @@ _TSAN_VERBS = {
 }
 
 
+@takes_lines
 def iter_tsan_events(
     lines: Iterable[str], registry: Optional[ThreadRegistry] = None
 ) -> Iterator[Event]:

@@ -49,6 +49,7 @@ extension (``.csv``/``.mtrace``/``.tsan`` vs STD) unless an explicit
 from __future__ import annotations
 
 import csv
+import functools
 import io
 import re
 from itertools import islice
@@ -144,6 +145,30 @@ def parse_std_line(
     )
 
 
+def takes_lines(
+    iterator: Callable[..., Iterator[Event]],
+) -> Callable[..., Iterator[Event]]:
+    """Make a streaming iterator reject a bare ``str``/``bytes`` eagerly.
+
+    Iterating a string yields its characters, so a path passed where lines
+    are expected would fail with a misleading line-1 grammar error; the
+    wrapped iterator raises one :class:`TypeError` at call time instead.
+    """
+
+    @functools.wraps(iterator)
+    def checked(lines, *args, **kwargs):
+        if isinstance(lines, (str, bytes, bytearray)):
+            raise TypeError(
+                "%s() takes an iterable of lines, not a bare %s; read a trace "
+                "file with iter_trace_file(path) or load_trace(path), or "
+                "parse trace text with parse_std(text)"
+                % (iterator.__name__, type(lines).__name__)
+            )
+        return iterator(lines, *args, **kwargs)
+
+    return checked
+
+
 #: Lines/rows decoded per block by the streaming iterators.  Large enough
 #: to amortise per-batch overhead, small enough that a block of pending
 #: events stays trivially bounded (constant memory is preserved).
@@ -221,6 +246,7 @@ def parse_std_batch(
     return events, index, line_number
 
 
+@takes_lines
 def iter_std_events(
     lines: Iterable[str], registry: Optional[ThreadRegistry] = None
 ) -> Iterator[Event]:
@@ -330,6 +356,7 @@ def parse_csv_batch(
     return events, index, row_number
 
 
+@takes_lines
 def iter_csv_events(
     lines: Iterable[str], registry: Optional[ThreadRegistry] = None
 ) -> Iterator[Event]:

@@ -97,6 +97,12 @@ class EventType(enum.Enum):
     WAIT = "wait"
     NOTIFY = "notify"
 
+    # Members are singletons compared by identity (and pickled by name),
+    # so the identity hash is exact and spares every dict/set lookup keyed
+    # by kind the Python-level ``Enum.__hash__`` call.  Like string hashes,
+    # it varies per process: no output may depend on kind-hash order.
+    __hash__ = object.__hash__
+
     def __str__(self) -> str:  # pragma: no cover - cosmetic
         return self.value
 
@@ -229,6 +235,12 @@ THREAD_EVENTS = _derive("thread")
 
 #: Event types that operate on a barrier.
 BARRIER_EVENTS = _derive("barrier")
+
+#: Event types with a lock-discipline role (the only kinds
+#: :meth:`LockDiscipline.step` acts on).
+DISCIPLINE_EVENTS = frozenset(
+    e for e, sem in REGISTRY.items() if sem.role is not None
+)
 
 #: The paper's original six-event vocabulary plus begin/end markers.
 CORE_VOCABULARY = frozenset({

@@ -10,12 +10,23 @@ A trace (Section 2.1) is a sequence of events satisfying two properties:
 
 :class:`Trace` validates both properties on construction (validation can be
 disabled for performance when the producer is trusted, e.g. the benchmark
-generators) and precomputes the per-event metadata the detectors need:
+generators).  Construction is one pass over the events that renumbers and
+tid-stamps them, validates, and builds the indexes every consumer reads:
 
-* ``match`` of each acquire/release,
-* the set of locks held at each event (``e in l``),
-* the set of variables read/written inside each critical section,
-* per-thread and per-variable event indices.
+* per-thread event indices (``thread_events``/``thread_indices``),
+* threads, locks, variables and barriers in order of first appearance,
+* the per-event-type census.
+
+The *lock structure* -- ``match`` of each acquire/release, the locks held
+at each event (``e in l``), the enclosing acquire of each held lock -- is
+read only by the definition-level closure oracles
+(:mod:`repro.core.closure`, :mod:`repro.cp.closure`), never by the
+vector-clock detectors, which keep their own lock state.  It is therefore
+built on the first call to :meth:`Trace.match`, :meth:`Trace.held_locks`,
+:meth:`Trace.enclosing_acquire` or :meth:`Trace.critical_section`, by
+replaying the events through a fresh
+:class:`~repro.trace.semantics.LockDiscipline`.  Section variable sets
+(:meth:`Trace.section_accesses`) are computed per call.
 """
 
 from __future__ import annotations
@@ -25,9 +36,10 @@ from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Set, Tupl
 
 from repro.trace.event import Event
 from repro.trace.semantics import (
-    BARRIER_EVENTS,
+    ACCESS_EVENTS,
+    DISCIPLINE_EVENTS,
     REGISTRY,
-    THREAD_EVENTS,
+    EventType,
     LockDiscipline,
     LockSemanticsError,
     TraceError,
@@ -41,6 +53,10 @@ from repro.vectorclock.registry import ThreadRegistry
 __all__ = [
     "Trace", "TraceError", "LockSemanticsError", "WellNestednessError",
 ]
+
+#: etype -> what its target names (``"lock"``/``"variable"``/``"thread"``/
+#: ``"barrier"``/None), read once per event by the indexing pass.
+_OPERAND_OF = {etype: sem.operand for etype, sem in REGISTRY.items()}
 
 
 class Trace:
@@ -83,30 +99,16 @@ class Trace:
     ) -> None:
         self.name = name or "trace"
         self.registry = registry if registry is not None else ThreadRegistry()
-        intern = self.registry.intern
-        self._events: List[Event] = []
-        for position, event in enumerate(events):
-            tid = intern(event.thread)
-            if event.index != position or (
-                event.tid is not None and event.tid != tid
-            ):
-                event = Event(
-                    position, event.thread, event.etype, event.target,
-                    event.loc, tid=tid,
-                )
-            else:
-                event.tid = tid
-            self._events.append(event)
-
+        # Materialise first (the producer's own errors, e.g. a parse error
+        # late in a file, surface before any validation error).
+        self._events: List[Event] = list(events)
         self._threads: List[str] = []
         self._locks: List[str] = []
         self._variables: List[str] = []
         self._barriers: List[str] = []
-        self._by_thread: Dict[str, List[int]] = defaultdict(list)
-        self._match: Dict[int, Optional[int]] = {}
-        self._held_locks: List[Tuple[str, ...]] = []
-        self._acquire_of_lock_at: List[Dict[str, int]] = []
-        self._census: Dict[str, int] = {}
+        self._by_thread: Dict[str, List[int]] = {}
+        self._census: Dict[EventType, int] = {}
+        self._lock_index: Optional[_LockIndex] = None
 
         self._index(validate)
 
@@ -115,70 +117,63 @@ class Trace:
     # ------------------------------------------------------------------ #
 
     def _index(self, validate: bool) -> None:
+        """Renumber, stamp, validate and index every event in one loop."""
+        events = self._events
+        intern = self.registry.intern
+        tid_of: Dict[str, int] = {}
+        by_thread = self._by_thread
+        census = self._census
         seen_threads: Dict[str, None] = {}
-        seen_locks: Dict[str, None] = {}
-        seen_vars: Dict[str, None] = {}
-        seen_barriers: Dict[str, None] = {}
-        census: Dict[str, int] = {}
-
+        seen: Dict[str, Dict[str, None]] = {
+            "thread": seen_threads, "lock": {}, "variable": {}, "barrier": {},
+        }
+        # etype -> the first-appearance dict its target joins (None: none).
+        seen_of = {
+            etype: seen.get(operand) for etype, operand in _OPERAND_OF.items()
+        }
         # The shared lock-semantics / well-nestedness state machine; the
         # streaming OnlineValidator drives the identical machine, so both
         # paths raise the same exception class and message by construction.
-        discipline = LockDiscipline()
+        step = LockDiscipline().step
+        checked = DISCIPLINE_EVENTS if validate else frozenset()
 
-        for event in self._events:
+        for position, event in enumerate(events):
             thread = event.thread
             etype = event.etype
-            seen_threads.setdefault(thread, None)
-            self._by_thread[thread].append(event.index)
-            census[etype.value] = census.get(etype.value, 0) + 1
-
-            if event.is_access():
-                seen_vars.setdefault(event.variable, None)
-            elif event.is_lock_event():
-                seen_locks.setdefault(event.lock, None)
-            elif etype in THREAD_EVENTS:
-                seen_threads.setdefault(event.other_thread, None)
-            elif etype in BARRIER_EVENTS:
-                seen_barriers.setdefault(event.barrier, None)
-
-            # Locks currently held by this thread (innermost last).
-            # Read-mode rwlock sections participate in nestedness checking
-            # but do not confer mutual exclusion, so they are excluded from
-            # ``held_locks`` (the detectors' rule (a)/(b) machinery).
-            sections = discipline.open_sections(thread)
-            held = tuple(lock for lock, _, mode in sections if mode != "read")
-            self._held_locks.append(held)
-            self._acquire_of_lock_at.append(
-                {lock: i for lock, i, mode in sections if mode != "read"}
-            )
-
-            result = discipline.step(
-                etype, thread, event.target, event.index, validate
-            )
-            if result is None:
-                continue
-            action = result[0]
-            if action == "open":
-                self._match[event.index] = None
-                if result[1] != "read":
-                    # The acquire itself is inside its own critical section.
-                    self._held_locks[-1] = held + (event.target,)
-                    self._acquire_of_lock_at[-1][event.target] = event.index
-            elif action == "close":
-                self._match[result[1]] = event.index
-                self._match[event.index] = result[1]
-                # The release is still inside its own critical section: the
-                # pre-step ``held``/``_acquire_of_lock_at`` snapshots above
-                # already include the section being closed.
-            else:  # "unmatched" (best-effort, validate=False only)
-                self._match[event.index] = None
+            indices = by_thread.get(thread)
+            if indices is None:
+                indices = by_thread[thread] = []
+                tid_of[thread] = intern(thread)
+                if thread not in seen_threads:
+                    seen_threads[thread] = None
+            indices.append(position)
+            tid = tid_of[thread]
+            if event.index != position or (
+                event.tid is not None and event.tid != tid
+            ):
+                event = events[position] = Event(
+                    position, thread, etype, event.target, event.loc, tid=tid,
+                )
+            else:
+                event.tid = tid
+            census[etype] = census.get(etype, 0) + 1
+            targets = seen_of[etype]
+            if targets is not None and event.target not in targets:
+                targets[event.target] = None
+            if etype in checked:
+                step(etype, thread, event.target, position)
 
         self._threads = list(seen_threads)
-        self._locks = list(seen_locks)
-        self._variables = list(seen_vars)
-        self._barriers = list(seen_barriers)
-        self._census = census
+        self._locks = list(seen["lock"])
+        self._variables = list(seen["variable"])
+        self._barriers = list(seen["barrier"])
+
+    def _lock_structure(self) -> "_LockIndex":
+        """The lock structure, built on first use (see the module docs)."""
+        index = self._lock_index
+        if index is None:
+            index = self._lock_index = _LockIndex(self._events)
+        return index
 
     # ------------------------------------------------------------------ #
     # Basic accessors
@@ -236,7 +231,7 @@ class Trace:
         Returns None when the matching event does not exist in the trace
         (e.g. a lock held until the end of the recorded execution).
         """
-        partner = self._match.get(event.index)
+        partner = self._lock_structure().match.get(event.index)
         if partner is None:
             return None
         return self._events[partner]
@@ -247,11 +242,11 @@ class Trace:
         The acquire and release of a critical section are both considered
         contained in it (``e in l`` in the paper's notation).
         """
-        return self._held_locks[event.index]
+        return self._lock_structure().held[event.index]
 
     def enclosing_acquire(self, event: Event, lock: str) -> Optional[Event]:
         """Return the acquire of ``lock`` whose critical section contains ``event``."""
-        acquire_index = self._acquire_of_lock_at[event.index].get(lock)
+        acquire_index = self._lock_structure().acquire_of[event.index].get(lock)
         if acquire_index is None:
             return None
         return self._events[acquire_index]
@@ -360,7 +355,10 @@ class Trace:
 
     def stats(self) -> Dict[str, int]:
         """Return basic counts (events, threads, locks, variables, accesses)."""
-        accesses = sum(1 for e in self._events if e.is_access())
+        accesses = sum(
+            count for etype, count in self._census.items()
+            if etype in ACCESS_EVENTS
+        )
         return {
             "events": len(self._events),
             "threads": len(self._threads),
@@ -375,9 +373,67 @@ class Trace:
         Only event kinds that actually occur appear; computed during
         indexing, so this is O(1) per call.
         """
-        return dict(self._census)
+        return {etype.value: count for etype, count in self._census.items()}
 
     def __repr__(self) -> str:
         return "Trace(%r, events=%d, threads=%d, locks=%d)" % (
             self.name, len(self._events), len(self._threads), len(self._locks)
         )
+
+
+class _LockIndex:
+    """A trace's lock structure, built by :meth:`Trace._lock_structure`.
+
+    ``match``
+        acquire index <-> release index, both directions, for every
+        matched critical section;
+    ``held``
+        per event, the locks whose exclusive sections contain it,
+        innermost last (read-mode rwlock sections participate in
+        nestedness but confer no mutual exclusion, so they are omitted);
+    ``acquire_of``
+        per event, lock -> index of the acquire opening that section.
+
+    Built by replaying the events through a fresh, non-validating
+    :class:`LockDiscipline` -- the machine ``Trace`` validated them with,
+    so a validated trace replays identically, and an unvalidated one gets
+    the same best-effort matching.  Events share the ``held``/
+    ``acquire_of`` entries of their thread until its sections change.
+    """
+
+    __slots__ = ("match", "held", "acquire_of")
+
+    def __init__(self, events: Sequence[Event]) -> None:
+        discipline = LockDiscipline()
+        step = discipline.step
+        open_sections = discipline.open_sections
+        self.match: Dict[int, int] = {}
+        self.held: List[Tuple[str, ...]] = []
+        self.acquire_of: List[Dict[str, int]] = []
+        none_held: Tuple[Tuple[str, ...], Dict[str, int]] = ((), {})
+        # thread -> (held, acquire_of) of its currently open sections.
+        current: Dict[str, Tuple[Tuple[str, ...], Dict[str, int]]] = {}
+        for event in events:
+            thread = event.thread
+            etype = event.etype
+            state = current.get(thread, none_held)
+            if etype in DISCIPLINE_EVENTS:
+                result = step(etype, thread, event.target, event.index, False)
+                sections = [
+                    (lock, index) for lock, index, mode in open_sections(thread)
+                    if mode != "read"
+                ]
+                after = current[thread] = (
+                    tuple(lock for lock, _ in sections), dict(sections),
+                )
+                action = result[0]
+                if action == "open":
+                    # The acquire itself is inside its own critical section.
+                    state = after
+                elif action == "close":
+                    # The release is still inside the section it closes, so
+                    # it keeps the pre-step state.
+                    self.match[result[1]] = event.index
+                    self.match[event.index] = result[1]
+            self.held.append(state[0])
+            self.acquire_of.append(state[1])

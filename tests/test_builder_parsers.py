@@ -126,3 +126,32 @@ class TestFileRoundTrip:
         path = dump_trace(trace, tmp_path / "trace.csv")
         loaded = load_trace(path)
         assert len(loaded) == len(trace)
+
+
+class TestIteratorsRejectBareStrings:
+    """A path (or text) passed where lines are expected fails at call time."""
+
+    @pytest.mark.parametrize("name", [
+        "iter_std_events", "iter_csv_events",
+        "iter_mtrace_events", "iter_tsan_events",
+    ])
+    @pytest.mark.parametrize("bare", ["trace.std", b"trace.std"])
+    def test_one_type_error_naming_the_file_apis(self, name, bare):
+        from repro.trace import adapters, parsers
+
+        iterator = getattr(parsers, name, None) or getattr(adapters, name)
+        with pytest.raises(TypeError) as caught:
+            iterator(bare)  # no iteration needed: the check is eager
+        message = str(caught.value)
+        assert message.startswith("%s() takes an iterable of lines" % name)
+        assert type(bare).__name__ in message
+        for api in ("iter_trace_file", "load_trace", "parse_std"):
+            assert api in message
+
+    def test_lists_of_lines_still_parse(self):
+        from repro.trace.parsers import iter_std_events
+
+        events = list(iter_std_events(["t1|w(x)|1", "t2|r(x)|2"]))
+        assert [event.etype for event in events] == [
+            EventType.WRITE, EventType.READ,
+        ]
