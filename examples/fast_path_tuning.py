@@ -1,8 +1,8 @@
-"""The raw-speed layer, end to end: kernels, batch decode, ring transport.
+"""The raw-speed layer, end to end: kernels, batch decode, shard transports.
 
 Three independent layers sit between the WCP algorithm and the
 hardware, and each one is *governed* — you can see which variant is
-live, force either variant, and prove the choice never changes a race
+live, force another variant, and prove the choice never changes a race
 report:
 
 1. **Compiled clock kernels** — ``DenseClock``'s O(width) loops
@@ -14,10 +14,10 @@ report:
 2. **Batch decoding** — the STD/CSV parsers decode many lines per call
    instead of one, so parse throughput tracks memory bandwidth rather
    than per-line interpreter overhead.
-3. **Zero-copy shard transport** — ``ShardedEngine(mode="ring")``
-   ships event batches to worker processes as binary-codec blobs
-   through a shared-memory ring buffer instead of pickled tuples
-   through a pipe.
+3. **Shard transports** — ``ShardedEngine(mode=...)`` runs the shard
+   workers as pipe-fed processes (``"process"``, the multi-core mode),
+   threads (``"thread"``) or inline (``"serial"``); every mode reports
+   exactly what the unsharded engine reports.
 
 Run from the repository root:
 
@@ -111,12 +111,12 @@ finally:
     os.unlink(path)
 
 # ------------------------------------------------------------------ #
-# 3. The ring transport, and parity across every mode
+# 3. Parity across every shard transport
 # ------------------------------------------------------------------ #
 
 print()
 print(BAR)
-print("3. Shared-memory ring transport")
+print("3. Shard transports")
 print(BAR)
 
 trace = mixed_vocabulary_trace(seed=3, threads=4, steps=1200)
@@ -128,12 +128,9 @@ def fingerprint(report):
     return (pairs, report.count())
 
 
-for mode in ("serial", "process", "ring"):
+for mode in ("serial", "process", "thread"):
     config = EngineConfig().with_detectors("wcp", "hb")
     config.with_shards(3, mode=mode, batch_size=256)
-    # Ring size is tunable; undersized rings stream batches in
-    # CRC-framed segments rather than failing.
-    config.shard_ring_bytes = 1 << 16
     result = ShardedEngine(config).run(trace)
     match = all(
         fingerprint(reference[name]) == fingerprint(result[name])

@@ -68,6 +68,7 @@ from repro.engine import (
     ValidatingSource,
     WorkerFailure,
 )
+from repro.engine.sharding import _TRANSPORT_MODES
 from repro.reordering.witness import find_race_witness
 from repro.trace.parsers import FORMAT_NAMES, load_trace
 from repro.trace.writers import dump_trace
@@ -440,9 +441,8 @@ def _add_shard_arguments(subparser: argparse.ArgumentParser) -> None:
     )
     subparser.add_argument(
         "--shard-mode", default="process",
-        choices=("process", "ring", "thread", "serial"),
+        choices=_TRANSPORT_MODES,
         help="shard transport: separate processes (multi-core, default), "
-             "processes fed through zero-copy shared-memory rings (ring), "
              "threads, or inline serial workers (deterministic debugging)",
     )
     subparser.add_argument(

@@ -47,18 +47,14 @@ class EngineConfig:
         #: Shard the pass across this many worker engines (1 = unsharded;
         #: see :class:`~repro.engine.sharding.ShardedEngine`).
         self.shards: int = 1
-        #: Shard transport: "process" (multi-core), "ring" (multi-core
-        #: over a zero-copy shared-memory data path), "thread" or
-        #: "serial".
+        #: Shard transport: "process" (multi-core, pipe-fed worker
+        #: processes), "thread" or "serial".
         self.shard_mode: str = "process"
         #: Variable partition policy name/instance
         #: (:mod:`repro.engine.partition`).
         self.shard_policy = "hash"
         #: Events per transport batch.
         self.shard_batch_size: int = 1024
-        #: Data-region bytes of each shard's shared-memory ring (the
-        #: "ring" transport; other modes ignore it).
-        self.shard_ring_bytes: int = 1 << 20
         #: Exchange mid-run clock/registry deltas every N batches.  0
         #: (default) disables the exchange -- final-state merging uses the
         #: finish payload, so mid-run deltas are monitoring/diagnostic
@@ -180,10 +176,10 @@ class EngineConfig:
     ) -> "EngineConfig":
         """Shard the pass across ``shards`` worker engines.
 
-        ``mode`` selects the transport ("process", "ring", "thread",
-        "serial"),
-        ``policy`` the variable partition policy, ``batch_size`` the
-        events per transport batch and ``clock_sync_every`` the cadence
+        ``mode`` selects the transport (the modes are listed on
+        :class:`~repro.engine.sharding.ShardedEngine`), ``policy`` the
+        variable partition policy, ``batch_size`` the events per
+        transport batch and ``clock_sync_every`` the cadence
         (in batches) of the shard-boundary clock/registry delta exchange.
         ``shards=1`` keeps the unsharded engine (byte-identical output).
         """

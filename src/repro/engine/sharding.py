@@ -14,19 +14,11 @@ Transport modes
 ---------------
 ``process`` (default)
     One persistent ``multiprocessing`` worker process per shard, fed
-    batches of compactly encoded events over a pipe.  This is the
-    multi-core mode: Python's GIL never serializes the detectors.
-``ring``
-    Process workers whose *data path* bypasses pickle entirely: batches
-    are encoded with the binary codec (:mod:`repro.vectorclock.codec`)
-    and copied straight into a shared-memory SPSC ring buffer
-    (:class:`~repro.engine.ringbuffer.ShmRing`, one per worker), while
-    the pipe carries only tiny control messages -- a per-batch
-    notification plus snapshot/finish/ack traffic.  Ordering is total:
-    notifications and ring records are both FIFO and paired one to one,
-    so a snapshot request on the pipe is always handled after every
-    batch sent before it.  Semantically identical to ``process`` (the
-    parity suite runs both); preferable when transport cost dominates.
+    batches of compactly encoded events over a pipe.  This is the one
+    multi-core mode: Python's GIL never serializes the detectors.  (A
+    shared-memory ring data path lost to the pipe by 2.5-3x at 2 and 4
+    shards in every recorded run, so the pipe is the only process
+    transport.)
 ``thread``
     One worker thread per shard (shared-nothing workers, so results are
     deterministic); useful where processes are unavailable.  Throughput
@@ -117,7 +109,6 @@ from repro.engine.engine import (
     RaceEngine,
 )
 from repro.engine.faults import InjectedDeath, WorkerDied
-from repro.engine.ringbuffer import DEFAULT_RING_BYTES, RingTimeout, ShmRing
 from repro.engine.supervision import (
     SupervisedTransport,
     SupervisionSettings,
@@ -133,7 +124,6 @@ from repro.engine.partition import (
 from repro.engine.sources import as_source
 from repro.trace.event import Event, EventType
 from repro.vectorclock.clock import VectorClock
-from repro.vectorclock.codec import decode as codec_decode, encode as codec_encode
 from repro.vectorclock.dense import DenseClock, deserialize_clock
 from repro.vectorclock.registry import ThreadRegistry
 
@@ -769,64 +759,6 @@ def _process_worker_main(
         conn.close()
 
 
-def _ring_worker_main(
-    conn, shard_id: int, specs: List[dict], source_name: str,
-    clock_sync_every: int, restore: Optional[dict] = None,
-    kill_at: Optional[int] = None,
-    ring_name: str = "", ring_capacity: int = 0,
-) -> None:
-    """Entry point of a ring-transport shard worker process.
-
-    The pipe protocol of :func:`_process_worker_main` with one change:
-    a ``("batch_ring",)`` message carries no payload -- the batch itself
-    travels codec-encoded through the shared-memory ring, and the worker
-    pops exactly one ring record per notification.  Notifications and
-    records are both FIFO, so the pairing (and the ordering against
-    snapshot/finish control messages) is total.
-    """
-    ring = ShmRing.attach(ring_name, ring_capacity)
-    try:
-        detectors: List[Detector] = [build_detector(spec) for spec in specs]
-        worker = _ShardWorker(
-            shard_id, detectors, source_name,
-            kill_at=kill_at, hard_exit=True,
-        )
-        worker.start()
-        if restore is not None:
-            worker.restore(restore)
-        batches = 0
-        while True:
-            message = conn.recv()
-            kind = message[0]
-            if kind == "batch_ring":
-                # A generous timeout bounds the orphaned-worker case (the
-                # coordinator died between notification and ring write);
-                # a healthy coordinator is already mid-push.
-                payload = ring.pop(timeout=300.0)
-                worker.process_batch(codec_decode(payload))
-                batches += 1
-                conn.send(("progress", shard_id, worker.events, worker.progress()))
-                if clock_sync_every and batches % clock_sync_every == 0:
-                    conn.send(("delta", shard_id, worker.clock_delta()))
-            elif kind == "snapshot":
-                conn.send(("state", shard_id, worker.snapshot_state()))
-            elif kind == "finish":
-                conn.send(("result", shard_id, worker.finish()))
-                return
-            else:
-                raise ValueError("unknown coordinator message %r" % (kind,))
-    except EOFError:
-        pass
-    except Exception:
-        try:
-            conn.send(("error", shard_id, traceback.format_exc()))
-        except (BrokenPipeError, OSError):
-            pass
-    finally:
-        ring.close()
-        conn.close()
-
-
 #: Transport-level failures: the worker side of the pipe is simply gone.
 #: Everything else a worker sends is an explicit protocol message (its
 #: deterministic failures arrive as ``("error", ...)`` reports).
@@ -835,9 +767,6 @@ _PIPE_FAILURES = (EOFError, ConnectionResetError, BrokenPipeError, OSError)
 
 class _ProcessTransport:
     """One persistent worker process per shard over a duplex pipe."""
-
-    #: The worker process entry point; subclasses swap in their own.
-    _worker_main = staticmethod(_process_worker_main)
 
     def __init__(
         self, worker_args: tuple, shard_id: int, mp_context,
@@ -849,7 +778,7 @@ class _ProcessTransport:
         self.acks = _AckCounter(shard_id, plan)
         self.conn, child_conn = mp_context.Pipe(duplex=True)
         self.process = mp_context.Process(
-            target=type(self)._worker_main,
+            target=_process_worker_main,
             args=(child_conn,) + worker_args,
             name="shard-%d" % shard_id,
             daemon=True,
@@ -999,66 +928,7 @@ class _ProcessTransport:
         return taken
 
 
-class _RingTransport(_ProcessTransport):
-    """A process worker fed through a shared-memory ring (zero-copy data path).
-
-    Identical control plane to :class:`_ProcessTransport` -- the pipe
-    still carries snapshot/finish requests and progress/delta/error/ack
-    replies -- but batch payloads never touch pickle or the pipe buffer:
-    the coordinator encodes each batch with the binary codec and copies
-    the bytes straight into a :class:`~repro.engine.ringbuffer.ShmRing`
-    segment both processes have mapped.  A per-batch ``("batch_ring",)``
-    pipe notification keeps the worker's single blocking wait point and
-    makes ring records totally ordered against control messages.
-
-    The notification is deliberately sent *before* the ring push: a
-    payload larger than the ring's free space streams through in
-    segments, which requires the consumer to be draining concurrently
-    -- notification-first guarantees that without a size precheck.
-    """
-
-    _worker_main = staticmethod(_ring_worker_main)
-
-    def __init__(
-        self, worker_args: tuple, shard_id: int, mp_context,
-        plan=None, shutdown_timeout_s: float = 30.0,
-        ring_bytes: int = DEFAULT_RING_BYTES,
-    ) -> None:
-        self.ring = ShmRing.create(ring_bytes)
-        super().__init__(
-            worker_args + (self.ring.name, ring_bytes),
-            shard_id, mp_context, plan=plan,
-            shutdown_timeout_s=shutdown_timeout_s,
-        )
-
-    def send(self, batch: List[tuple]) -> None:
-        payload = codec_encode(batch)
-        try:
-            self.conn.send(("batch_ring",))
-        except _PIPE_FAILURES as error:
-            raise self._died(error) from error
-        try:
-            # Backpressure: blocks while the ring is full, turning worker
-            # death mid-ring into a normalized WorkerDied for failover.
-            self.ring.push(payload, liveness=self.process.is_alive)
-        except (BrokenPipeError, RingTimeout) as error:
-            raise self._died(error) from error
-        self._drain()
-
-    def _shutdown(self) -> None:
-        try:
-            super()._shutdown()
-        finally:
-            self.ring.unlink()
-
-    def abort(self) -> None:
-        try:
-            super().abort()
-        finally:
-            self.ring.unlink()
-
-
-_TRANSPORT_MODES = ("process", "ring", "thread", "serial")
+_TRANSPORT_MODES = ("process", "thread", "serial")
 
 
 class ShardedEngine:
@@ -1074,8 +944,7 @@ class ShardedEngine:
         Worker count.  ``1`` delegates to :class:`RaceEngine` -- output is
         byte-identical to the unsharded engine.
     mode:
-        ``"process"`` (multi-core), ``"ring"`` (multi-core with the
-        zero-copy shared-memory data path), ``"thread"`` or ``"serial"``.
+        ``"process"`` (multi-core), ``"thread"`` or ``"serial"``.
     policy:
         Partition policy name or instance (:mod:`repro.engine.partition`).
     batch_size:
@@ -1468,7 +1337,7 @@ class ShardedEngine:
         stats = stats if stats is not None else new_supervision_stats()
         mode = self.mode
         mp_context = None
-        if mode in ("process", "ring"):
+        if mode == "process":
             import multiprocessing
 
             mp_context = multiprocessing.get_context()
@@ -1490,16 +1359,6 @@ class ShardedEngine:
                         ),
                         shard, mp_context, plan=plan,
                         shutdown_timeout_s=settings.shutdown_timeout_s,
-                    )
-                if mode == "ring":
-                    return _RingTransport(
-                        (
-                            shard, specs, source_name,
-                            config.shard_clock_sync_every, state, kill_at,
-                        ),
-                        shard, mp_context, plan=plan,
-                        shutdown_timeout_s=settings.shutdown_timeout_s,
-                        ring_bytes=config.shard_ring_bytes,
                     )
                 worker = _ShardWorker(
                     shard, [build_detector(spec) for spec in specs],

@@ -552,6 +552,35 @@ class LineProtocolSource(AsyncEventSource):
         #: protocol; the peer replays its events from that offset on.
         self.resume_offset = 0
 
+    @classmethod
+    async def read_first_line(cls, reader) -> bytes:
+        """Read one line off ``reader`` under :attr:`MAX_LINE_BYTES`.
+
+        The serve handshake peeks at the stream head with this.
+        ``StreamReader.readline`` would enforce the reader's own buffer
+        limit (64 KiB by default) instead, so this reads through it in
+        pieces: the first line obeys the same limit, and fails with the
+        same ``ValueError``, as every later line.  Like ``readline`` it
+        returns the partial line at EOF.
+        """
+        import asyncio
+
+        max_line = cls.MAX_LINE_BYTES
+        line = b""
+        while True:
+            try:
+                line += await reader.readuntil(b"\n")
+            except asyncio.IncompleteReadError as error:
+                line += error.partial
+            except asyncio.LimitOverrunError as error:
+                line += await reader.readexactly(error.consumed)
+                if len(line) <= max_line:
+                    continue
+            length = len(line) - line.endswith(b"\n")
+            if length > max_line:
+                raise _overlong_line(length, max_line)
+            return line
+
     def seek_events(self, events: int) -> None:
         """Record the resume offset; the peer replays from it (handshake)."""
         self.resume_offset = events
@@ -611,19 +640,13 @@ class LineProtocolSource(AsyncEventSource):
             pending += chunk
             if b"\n" not in chunk:
                 if len(pending) > max_line:
-                    raise ValueError(
-                        "line protocol: %d bytes without a newline "
-                        "(limit %d)" % (len(pending), max_line)
-                    )
+                    raise _overlong_line(len(pending), max_line)
                 continue
             consumed = len(pending)
             raw_lines = pending.split(b"\n")
             pending = raw_lines.pop()
             if len(pending) > max_line:
-                raise ValueError(
-                    "line protocol: %d bytes without a newline (limit %d)"
-                    % (len(pending), max_line)
-                )
+                raise _overlong_line(len(pending), max_line)
             self.bytes_read += consumed - len(pending)
             events, index, line_number = parse_std_batch(
                 [raw.decode("utf-8", "replace") for raw in raw_lines],
@@ -631,6 +654,12 @@ class LineProtocolSource(AsyncEventSource):
             )
             if events:
                 yield events
+
+
+def _overlong_line(length: int, limit: int) -> ValueError:
+    return ValueError(
+        "line protocol: %d bytes without a newline (limit %d)" % (length, limit)
+    )
 
 
 def _skip_prefix(events: Iterator[Event], skip: int) -> Iterator[Event]:

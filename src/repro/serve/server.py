@@ -341,14 +341,15 @@ class SessionDriver:
     async def _readline_first(self) -> bytes:
         """Read the handshake line, racing it against drain and the clock."""
         timeout = self.settings.handshake_timeout_s
+        first_line = LineProtocolSource.read_first_line(self.reader)
         if self.drain_event is None:
             if timeout is None:
-                return await self.reader.readline()
+                return await first_line
             try:
-                return await asyncio.wait_for(self.reader.readline(), timeout)
+                return await asyncio.wait_for(first_line, timeout)
             except asyncio.TimeoutError:
                 raise _HandshakeTimeout() from None
-        read = asyncio.ensure_future(self.reader.readline())
+        read = asyncio.ensure_future(first_line)
         drain = asyncio.ensure_future(self.drain_event.wait())
         done, _ = await asyncio.wait(
             {read, drain}, timeout=timeout,

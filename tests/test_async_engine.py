@@ -333,13 +333,14 @@ class TestServe:
         assert code == 1
 
     def test_serve_rejects_oversized_line_with_error_response(self):
-        """Regression: a line over the stream reader's buffer limit used
-        to escape serve_connection (no response, --once never exited);
-        it must answer an error line and exit like a rejected stream."""
+        """Regression: an over-limit first line used to escape
+        serve_connection (no response, --once never exited); it must
+        answer an error line and exit like a rejected stream.  The limit
+        is the line protocol's, not the stream reader's 64 KiB buffer."""
         args = self._serve_args("--port", "0")
-        payload = "t1|w(" + "x" * 100_000 + ")\n"
+        payload = "t1|w(" + "x" * LineProtocolSource.MAX_LINE_BYTES + ")\n"
         response, code = asyncio.run(self._roundtrip(args, payload))
-        assert response.startswith("error ValueError")
+        assert response.startswith("error ValueError: line protocol:")
         assert code == 2
 
     def test_serve_rejects_malformed_stream(self):

@@ -52,6 +52,7 @@ from repro.engine import (
     CheckpointMismatchError,
     FileSource,
     IterableSource,
+    LineProtocolSource,
     TraceSource,
     ValidatingSource,
 )
@@ -644,7 +645,7 @@ class TestShardedResume:
         assert Checkpointer(directory).offsets()
         return directory
 
-    @pytest.mark.parametrize("mode", ["serial", "thread"])
+    @pytest.mark.parametrize("mode", ["serial", "thread", "process"])
     @pytest.mark.parametrize("seed", [0, 5])
     def test_sharded_resume_matches_single_engine(self, tmp_path, mode, seed):
         trace = random_trace(seed, n_events=220, n_threads=4, n_vars=6)
@@ -898,8 +899,10 @@ class TestServeHandshakeErrors:
                 pass
 
         async def scenario():
+            # The first line obeys the line protocol's limit, however
+            # small the reader's own buffer limit is.
             reader = asyncio.StreamReader(limit=16)
-            reader.feed_data(b"x" * 100)  # no newline within the limit
+            reader.feed_data(b"x" * (LineProtocolSource.MAX_LINE_BYTES + 1))
             writer = FakeWriter()
             result = await serve_connection(
                 reader, writer, ["wcp"], checkpoint_dir=str(tmp_path)
@@ -908,7 +911,7 @@ class TestServeHandshakeErrors:
 
         result, answered = asyncio.run(scenario())
         assert result is None
-        assert answered.startswith(b"error ValueError:")
+        assert answered.startswith(b"error ValueError: line protocol:")
 
 
 class TestServeStreamIdSafety:

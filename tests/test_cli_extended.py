@@ -91,3 +91,23 @@ class TestUnreadableTracePath:
         assert captured.err.splitlines() == [
             "error: cannot read trace file %s: %s" % (path, reason)
         ]
+
+
+class TestShardModeChoices:
+    def test_removed_ring_mode_is_an_argparse_error(self, capsys):
+        trace_path = "examples/traces/quickstart.std"
+        with pytest.raises(SystemExit) as exit_info:
+            main(["analyze", trace_path, "--shards", "2",
+                  "--shard-mode", "ring"])
+        captured = capsys.readouterr()
+        assert exit_info.value.code == 2
+        assert captured.out == ""
+        assert "Traceback" not in captured.err
+        errors = [line for line in captured.err.splitlines()
+                  if "invalid choice" in line]
+        assert len(errors) == 1
+        assert errors[0].startswith(
+            "repro-race analyze: error: argument --shard-mode: invalid "
+            "choice: 'ring' (choose from "
+        )
+        assert all(mode in errors[0] for mode in ("process", "thread", "serial"))

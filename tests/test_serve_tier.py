@@ -1105,6 +1105,50 @@ class TestLineProtocolAcrossReads:
         assert counters["errored"] == 1
         assert counters["disconnected"] == 0
 
+    def test_first_line_past_the_stream_reader_limit_is_accepted(self):
+        """The handshake peeks at the first line under the line protocol's
+        limit, not asyncio's 64 KiB readline limit: a long first comment
+        line is answered exactly as when it comes second."""
+        comment = "#" + "x" * 70000 + "\n"
+        events = "t1|w(x)|a:1\nt2|w(x)|b:2\n"
+
+        async def run(payload):
+            server = await _start_server(detectors=("wcp",))
+            try:
+                return await _roundtrip(server, payload)
+            finally:
+                await server.close()
+
+        first = asyncio.run(run(comment + events))
+        second = asyncio.run(run(events[:12] + comment + events[12:]))
+        assert first == second == "WCP 1 1\ndone 2\n"
+
+    def test_first_line_over_the_limit_is_one_error_reply(self):
+        from repro import LineProtocolSource
+
+        limit = LineProtocolSource.MAX_LINE_BYTES
+        payload = b"#" + b"x" * limit
+
+        async def run():
+            server = await _start_server()
+            try:
+                reader, writer = await _connect(server)
+                writer.write(payload)
+                writer.write_eof()
+                await writer.drain()
+                response = (await reader.read()).decode("utf-8")
+                writer.close()
+            finally:
+                await server.close()
+            return response, server.metrics.counters
+
+        response, counters = asyncio.run(run())
+        assert response == (
+            "error ValueError: line protocol: %d bytes without a newline "
+            "(limit %d)\n" % (limit + 1, limit)
+        )
+        assert counters["errored"] == 1
+
 
 class TestDriveCounters:
     def test_one_write_costs_a_few_drive_wakeups(self):
