@@ -40,6 +40,7 @@ from pathlib import Path
 from repro.core.wcp import WCPDetector
 from repro.engine import EngineConfig, RaceEngine, RunSupervisor, ShardedEngine
 from repro.engine.faults import Fault, FaultPlan
+from repro.engine.sharding import _TRANSPORT_MODES
 
 from bench_hotpath import partitionable_trace
 
@@ -262,7 +263,7 @@ def main(argv=None) -> int:
     parser.add_argument("--check", action="store_true",
                         help="exit non-zero on parity or coverage failure")
     parser.add_argument("--mode", default="process",
-                        choices=("process", "thread", "serial"),
+                        choices=_TRANSPORT_MODES,
                         help="transport under chaos (default: process)")
     parser.add_argument("--output", type=Path, default=DEFAULT_OUTPUT,
                         help="result path (default: %s)" % DEFAULT_OUTPUT.name)

@@ -15,9 +15,9 @@ report:
    instead of one, so parse throughput tracks memory bandwidth rather
    than per-line interpreter overhead.
 3. **Shard transports** — ``ShardedEngine(mode=...)`` runs the shard
-   workers as pipe-fed processes (``"process"``, the multi-core mode),
-   threads (``"thread"``) or inline (``"serial"``); every mode reports
-   exactly what the unsharded engine reports.
+   workers as pipe-fed processes (``"process"``, the multi-core mode)
+   or inline (``"serial"``); both report exactly what the unsharded
+   engine reports.
 
 Run from the repository root:
 
@@ -128,7 +128,7 @@ def fingerprint(report):
     return (pairs, report.count())
 
 
-for mode in ("serial", "process", "thread"):
+for mode in ("serial", "process"):
     config = EngineConfig().with_detectors("wcp", "hb")
     config.with_shards(3, mode=mode, batch_size=256)
     result = ShardedEngine(config).run(trace)

@@ -42,6 +42,7 @@ from __future__ import annotations
 
 import argparse
 import errno
+import math
 import os
 import stat
 import sys
@@ -136,7 +137,7 @@ def _build_parser() -> argparse.ArgumentParser:
              "restores exact verdicts at worst-case linear memory)",
     )
     analyze.add_argument(
-        "--window", type=int, default=None,
+        "--window", type=_positive_int, default=None,
         help="optionally window the detector(s) to this many events",
     )
     _add_shard_arguments(analyze)
@@ -145,7 +146,7 @@ def _build_parser() -> argparse.ArgumentParser:
         help="stop the pass as soon as any detector reports a race",
     )
     analyze.add_argument(
-        "--max-events", type=int, default=None, metavar="N",
+        "--max-events", type=_positive_int, default=None, metavar="N",
         help="stop the pass after N events",
     )
     analyze.add_argument(
@@ -218,7 +219,7 @@ def _build_parser() -> argparse.ArgumentParser:
              "with the thread-quiescence heuristic",
     )
     serve.add_argument(
-        "--max-events", type=int, default=None, metavar="N",
+        "--max-events", type=_positive_int, default=None, metavar="N",
         help="stop each connection's pass after N events",
     )
     serve.add_argument(
@@ -234,7 +235,8 @@ def _build_parser() -> argparse.ArgumentParser:
         help="events between per-connection checkpoints (default 10000)",
     )
     serve.add_argument(
-        "--handshake-timeout", type=float, default=30.0, metavar="SECONDS",
+        "--handshake-timeout", type=_nonnegative_float, default=30.0,
+        metavar="SECONDS",
         help="drop a connection that has not sent its first line within "
              "SECONDS so silent peers cannot pin admission slots (counted "
              "as handshake_timeout in /stats; 0 disables; default 30)",
@@ -257,7 +259,8 @@ def _build_parser() -> argparse.ArgumentParser:
              "connections share one tenant)",
     )
     serve.add_argument(
-        "--max-events-per-sec", type=float, default=None, metavar="RATE",
+        "--max-events-per-sec", type=_positive_float, default=None,
+        metavar="RATE",
         help="per-tenant token-bucket event rate shared across the "
              "tenant's streams; small deficits throttle (backpressure), "
              "large ones shed with a retry-after",
@@ -268,7 +271,8 @@ def _build_parser() -> argparse.ArgumentParser:
              "(default: 2x the rate)",
     )
     serve.add_argument(
-        "--throttle-budget", type=float, default=2.0, metavar="SECONDS",
+        "--throttle-budget", type=_nonnegative_float, default=2.0,
+        metavar="SECONDS",
         help="largest per-event rate deficit absorbed by sleeping (TCP "
              "backpressure) before a stream is shed instead "
              "(default 2.0)",
@@ -280,7 +284,8 @@ def _build_parser() -> argparse.ArgumentParser:
              "bytes (estimated from checkpoint blobs)",
     )
     serve.add_argument(
-        "--idle-evict-after", type=float, default=None, metavar="SECONDS",
+        "--idle-evict-after", type=_positive_float, default=None,
+        metavar="SECONDS",
         help="checkpoint a stream idle for SECONDS to disk and release "
              "its detector memory; the next event restores it "
              "transparently (requires --checkpoint-dir and a "
@@ -335,11 +340,12 @@ def _build_parser() -> argparse.ArgumentParser:
              "Overloaded replies honor the server's retry-after hint",
     )
     push.add_argument(
-        "--backoff", type=float, default=0.1, metavar="SECONDS",
+        "--backoff", type=_nonnegative_float, default=0.1, metavar="SECONDS",
         help="base of the exponential reconnect backoff (default 0.1)",
     )
     push.add_argument(
-        "--connect-timeout", type=float, default=5.0, metavar="SECONDS",
+        "--connect-timeout", type=_positive_float, default=5.0,
+        metavar="SECONDS",
         help="per-attempt connection timeout (default 5)",
     )
     push.add_argument(
@@ -422,6 +428,33 @@ def _nonnegative_int(value: str) -> int:
     return parsed
 
 
+def _positive_float(value: str) -> float:
+    parsed = float(value)
+    if not (0 < parsed < math.inf):
+        raise argparse.ArgumentTypeError(
+            "must be a positive number, got %s" % value
+        )
+    return parsed
+
+
+def _positive_float_or_inf(value: str) -> float:
+    parsed = float(value)
+    if not parsed > 0:
+        raise argparse.ArgumentTypeError(
+            "must be a positive number or inf, got %s" % value
+        )
+    return parsed
+
+
+def _nonnegative_float(value: str) -> float:
+    parsed = float(value)
+    if not (0 <= parsed < math.inf):
+        raise argparse.ArgumentTypeError(
+            "must be a finite number >= 0, got %s" % value
+        )
+    return parsed
+
+
 def _add_format_argument(subparser: argparse.ArgumentParser) -> None:
     subparser.add_argument(
         "--format", default=None, choices=FORMAT_NAMES,
@@ -442,8 +475,8 @@ def _add_shard_arguments(subparser: argparse.ArgumentParser) -> None:
     subparser.add_argument(
         "--shard-mode", default="process",
         choices=_TRANSPORT_MODES,
-        help="shard transport: separate processes (multi-core, default), "
-             "threads, or inline serial workers (deterministic debugging)",
+        help="shard transport: separate processes (multi-core, default) "
+             "or inline serial workers (deterministic debugging)",
     )
     subparser.add_argument(
         "--shard-policy", default="hash", choices=("hash", "rr"),
@@ -459,10 +492,14 @@ def _add_shard_arguments(subparser: argparse.ArgumentParser) -> None:
              "disables failover)",
     )
     subparser.add_argument(
-        "--shard-heartbeat", type=float, default=30.0, metavar="SECONDS",
+        "--shard-heartbeat", type=_positive_float_or_inf, default=30.0,
+        metavar="SECONDS",
         help="liveness timeout: a shard worker with batches outstanding "
              "and no acknowledgement progress for this long is declared "
-             "dead and failed over (default 30)",
+             "dead and failed over; it also bounds the process "
+             "transport's send, snapshot and finish waits, so a hung "
+             "worker is restarted too (default 30; inf never declares "
+             "a stall)",
     )
     subparser.add_argument(
         "--fail-fast", action="store_true",

@@ -48,7 +48,7 @@ class EngineConfig:
         #: see :class:`~repro.engine.sharding.ShardedEngine`).
         self.shards: int = 1
         #: Shard transport: "process" (multi-core, pipe-fed worker
-        #: processes), "thread" or "serial".
+        #: processes) or "serial" (inline, deterministic debugging).
         self.shard_mode: str = "process"
         #: Variable partition policy name/instance
         #: (:mod:`repro.engine.partition`).
@@ -66,7 +66,9 @@ class EngineConfig:
         #: failover entirely).
         self.shard_retries: int = 2
         #: Liveness timeout: a shard with batches outstanding and no ack
-        #: progress for this long is declared dead and failed over.
+        #: progress for this long is declared dead and failed over.  It
+        #: also bounds the process transport's send, snapshot and finish
+        #: waits, so a hung-but-alive worker cannot block the coordinator.
         self.shard_heartbeat_s: float = 30.0
         #: Batches between periodic per-shard supervision snapshots (the
         #: failover restore points; 0 buffers the whole substream).
@@ -225,7 +227,7 @@ class EngineConfig:
                 raise ValueError("shard retries must be >= 0")
             self.shard_retries = retries
         if heartbeat_s is not None:
-            if heartbeat_s <= 0:
+            if not heartbeat_s > 0:  # NaN too
                 raise ValueError("heartbeat timeout must be positive")
             self.shard_heartbeat_s = heartbeat_s
         if snapshot_every is not None:

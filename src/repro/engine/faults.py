@@ -41,19 +41,21 @@ class WorkerDied(RuntimeError):
     triggers failover; with ``fail_fast`` (or the retry budget spent) it
     surfaces wrapped in an actionable
     :class:`~repro.engine.supervision.WorkerFailure` instead of a raw
-    ``EOFError`` traceback.
+    ``EOFError`` traceback.  ``stalled`` marks a worker that is alive but
+    stopped answering within the heartbeat.
     """
 
-    def __init__(self, shard: int, cause: str) -> None:
+    def __init__(self, shard: int, cause: str, stalled: bool = False) -> None:
         super().__init__(
             "shard %d worker died unexpectedly (%s)" % (shard, cause)
         )
         self.shard = shard
         self.cause = cause
+        self.stalled = stalled
 
 
 class InjectedDeath(BaseException):
-    """Simulated abrupt worker death (thread/serial transports).
+    """Simulated abrupt worker death (serial transport).
 
     A ``BaseException`` so the worker loops' ordinary ``except
     Exception`` error reporting -- which is reserved for deterministic
@@ -113,7 +115,7 @@ class Fault:
 
         ``at_event`` counts the worker's *own* processed events (its
         substream position).  Process workers hard-exit (the coordinator
-        sees pipe EOF); thread/serial workers die with
+        sees pipe EOF); serial workers die with
         :class:`InjectedDeath`.
         """
         return cls(KILL_WORKER, shard, at_event)

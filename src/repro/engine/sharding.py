@@ -18,11 +18,10 @@ Transport modes
     multi-core mode: Python's GIL never serializes the detectors.  (A
     shared-memory ring data path lost to the pipe by 2.5-3x at 2 and 4
     shards in every recorded run, so the pipe is the only process
-    transport.)
-``thread``
-    One worker thread per shard (shared-nothing workers, so results are
-    deterministic); useful where processes are unavailable.  Throughput
-    is GIL-bound.
+    transport.)  Under supervision every wait on the pipe -- a send
+    into a full pipe, an unanswered snapshot request, an unacknowledged
+    finish -- is bounded by the heartbeat, so a hung-but-alive worker is
+    declared dead and failed over instead of blocking the coordinator.
 ``serial``
     Workers run inline in the calling thread, one batch at a time --
     deterministic and debuggable; the reference mode for the parity suite.
@@ -78,9 +77,10 @@ uninterrupted run's exactly.
 
 from __future__ import annotations
 
+import math
 import os
-import queue as queue_module
-import threading
+import socket
+import struct
 import time
 import traceback
 from typing import Dict, List, Optional, Sequence
@@ -291,7 +291,7 @@ class _ShardWorker:
         self.source_name = source_name
         #: Fault injection: die once the worker has processed this many
         #: events (process workers hard-exit so the coordinator sees a
-        #: genuine pipe EOF; thread/serial workers raise InjectedDeath).
+        #: genuine pipe EOF; serial workers raise InjectedDeath).
         self.kill_at = kill_at
         self.hard_exit = hard_exit
         self.registry = ThreadRegistry()
@@ -504,206 +504,6 @@ class _SerialTransport:
         return 0
 
 
-class _ThreadTransport:
-    """One daemon thread per shard, fed through a bounded queue.
-
-    Workers share nothing, so results are deterministic regardless of
-    scheduling; progress is read at batch granularity (coarse counts, safe
-    under the GIL), mid-run clock deltas are skipped (the worker may be
-    mid-batch), and the final payload is produced by the worker thread
-    before joining.
-    """
-
-    def __init__(
-        self,
-        worker: _ShardWorker,
-        restore: Optional[dict] = None,
-        plan=None,
-        stall_timeout_s: Optional[float] = None,
-    ) -> None:
-        self.worker = worker
-        self._restore = restore
-        #: Longest the coordinator will block on a full queue (or an
-        #: unanswered snapshot) before declaring a hung-but-alive worker
-        #: thread dead.  None keeps the pre-supervision spin-forever
-        #: behaviour (serial paths and direct construction in tests).
-        self.stall_timeout_s = stall_timeout_s
-        self.queue: "queue_module.Queue" = queue_module.Queue(maxsize=8)
-        self.error: Optional[str] = None
-        self.result: Optional[dict] = None
-        self.dead: Optional[str] = None
-        self.acks = _AckCounter(worker.shard_id, plan)
-        self.thread = threading.Thread(
-            target=self._loop, name="shard-%d" % worker.shard_id, daemon=True
-        )
-        self.thread.start()
-
-    def _loop(self) -> None:
-        try:
-            self.worker.start()
-            if self._restore is not None:
-                self.worker.restore(self._restore)
-            while True:
-                batch = self.queue.get()
-                if batch is None:
-                    self.result = self.worker.finish()
-                    return
-                if isinstance(batch, tuple) and batch[0] == "snapshot":
-                    batch[1].append(self.worker.snapshot_state())
-                    batch[2].set()
-                    continue
-                self.worker.process_batch(batch)
-                self.acks.record()
-        except InjectedDeath as death:
-            # Simulated abrupt death: no ack, no error report, no further
-            # draining -- exactly what a vanished worker looks like.  The
-            # coordinator notices through the bounded put()/wait() paths.
-            self.dead = str(death) or "injected worker death"
-            return
-        except Exception:
-            self.error = traceback.format_exc()
-            # Keep draining so the coordinator's put() never deadlocks
-            # (snapshot requests are acknowledged empty so their waiters
-            # wake up and observe the error).
-            while True:
-                item = self.queue.get()
-                if item is None:
-                    return
-                if isinstance(item, tuple) and item[0] == "snapshot":
-                    item[2].set()
-
-    def _death_cause(self) -> Optional[str]:
-        """The reason this transport is unusable, or None while healthy."""
-        if self.dead is not None:
-            return self.dead
-        if (
-            not self.thread.is_alive()
-            and self.result is None
-            and self.error is None
-        ):
-            return "worker thread exited without a result"
-        return None
-
-    def _declare_stalled(self, what: str) -> None:
-        """A live-but-hung worker thread is dead for supervision purposes.
-
-        Python cannot kill a thread, so the transport is condemned
-        instead: the zombie keeps idling on its (abandoned) queue and
-        exits with the daemon, while the supervisor restarts the shard
-        on a fresh transport.  The raised death is tagged ``stalled`` so
-        it is counted as a heartbeat timeout, not a crash.
-        """
-        cause = (
-            "%s for %.1fs; worker thread is alive but stalled, "
-            "declaring it dead" % (what, self.stall_timeout_s)
-        )
-        self.dead = cause
-        death = WorkerDied(self.worker.shard_id, cause)
-        death.stalled = True
-        raise death
-
-    def _put(self, item) -> None:
-        """Bounded put that notices worker death instead of deadlocking."""
-        deadline = None
-        while True:
-            cause = self._death_cause()
-            if cause is not None:
-                raise WorkerDied(self.worker.shard_id, cause)
-            try:
-                self.queue.put(item, timeout=0.05)
-                return
-            except queue_module.Full:
-                if self.stall_timeout_s is None:
-                    continue
-                now = time.monotonic()
-                if deadline is None:
-                    deadline = now + self.stall_timeout_s
-                elif now >= deadline:
-                    self._declare_stalled("no batch consumed")
-
-    def send(self, batch: List[tuple]) -> None:
-        self._put(batch)
-
-    def poll_progress(self):
-        cause = self._death_cause()
-        if cause is not None:
-            raise WorkerDied(self.worker.shard_id, cause)
-        return self.worker.progress()
-
-    def poll_delta(self):
-        return None
-
-    def snapshot_begin(self):
-        holder: List[dict] = []
-        done = threading.Event()
-        self._put(("snapshot", holder, done))
-        return holder, done
-
-    def snapshot_end(self, token) -> dict:
-        holder, done = token
-        deadline = (
-            None if self.stall_timeout_s is None
-            else time.monotonic() + self.stall_timeout_s
-        )
-        while not done.wait(0.05):
-            cause = self._death_cause()
-            if cause is not None:
-                raise WorkerDied(self.worker.shard_id, cause)
-            if deadline is not None and time.monotonic() >= deadline:
-                self._declare_stalled("snapshot request unanswered")
-        if self.error is not None:
-            raise RuntimeError(
-                "shard %d worker failed:\n%s" % (self.worker.shard_id, self.error)
-            )
-        if not holder:  # pragma: no cover - defensive
-            raise WorkerDied(
-                self.worker.shard_id, "worker died answering a snapshot"
-            )
-        return holder[0]
-
-    def snapshot(self) -> dict:
-        return self.snapshot_end(self.snapshot_begin())
-
-    def finish(self) -> dict:
-        self._put(None)
-        self.thread.join(self.stall_timeout_s)
-        if self.stall_timeout_s is not None and self.thread.is_alive():
-            self._declare_stalled("finish unacknowledged")
-        cause = self._death_cause()
-        if cause is not None:
-            raise WorkerDied(self.worker.shard_id, cause)
-        if self.error is not None:
-            raise RuntimeError(
-                "shard %d worker failed:\n%s" % (self.worker.shard_id, self.error)
-            )
-        assert self.result is not None
-        return self.result
-
-    def acked(self) -> int:
-        return self.acks.observed
-
-    def alive(self) -> bool:
-        return self._death_cause() is None
-
-    def break_pipe(self) -> None:
-        # Sever the channel: the worker thread may keep running but the
-        # coordinator treats it as unreachable (it idles on the queue and
-        # dies with the daemon).
-        self.dead = "injected pipe EOF"
-
-    def abort(self) -> None:
-        if self.dead is None:
-            self.dead = "aborted by coordinator"
-        try:
-            # Wake a healthy worker so the daemon thread can exit.
-            self.queue.put_nowait(None)
-        except queue_module.Full:  # pragma: no cover - worker is stuck
-            pass
-
-    def take_escalations(self) -> int:
-        return 0
-
-
 def _process_worker_main(
     conn, shard_id: int, specs: List[dict], source_name: str,
     clock_sync_every: int, restore: Optional[dict] = None,
@@ -765,18 +565,49 @@ def _process_worker_main(
 _PIPE_FAILURES = (EOFError, ConnectionResetError, BrokenPipeError, OSError)
 
 
+#: ``conn.poll`` turns its timeout into a C int of milliseconds, so every
+#: stall wait is capped here (about 23 days); a longer heartbeat, ``inf``
+#: included, is in effect "never stall".
+_MAX_STALL_WAIT_S = 2_000_000.0
+
+
+def _set_send_timeout(conn, seconds: float) -> None:
+    """Bound every blocking send on ``conn`` (a socketpair end) by ``seconds``.
+
+    A send that finds the pipe full for that long fails with
+    ``BlockingIOError`` instead of blocking forever.  ``SO_SNDTIMEO`` is
+    a property of the socket, so setting it through a duplicate
+    descriptor applies to ``conn`` itself.  The timeout is rounded up to
+    whole microseconds: a zero timeval would mean "block forever".
+    """
+    micros = max(1, math.ceil(seconds * 1e6))
+    timeval = struct.pack("ll", micros // 1_000_000, micros % 1_000_000)
+    with socket.socket(fileno=os.dup(conn.fileno())) as sock:
+        sock.setsockopt(socket.SOL_SOCKET, socket.SO_SNDTIMEO, timeval)
+
+
 class _ProcessTransport:
-    """One persistent worker process per shard over a duplex pipe."""
+    """One persistent worker process per shard over a duplex pipe.
+
+    ``stall_timeout_s`` (the supervision heartbeat) bounds every wait on
+    the worker: a send into a full pipe, an unanswered snapshot request
+    and an unacknowledged finish each raise a :class:`WorkerDied` tagged
+    ``stalled`` once the worker has been silent that long, so a
+    hung-but-alive worker is failed over instead of blocking the
+    coordinator.
+    """
 
     def __init__(
         self, worker_args: tuple, shard_id: int, mp_context,
-        plan=None, shutdown_timeout_s: float = 30.0,
+        stall_timeout_s: float, plan=None, shutdown_timeout_s: float = 30.0,
     ) -> None:
         self.shard_id = shard_id
         self.shutdown_timeout_s = shutdown_timeout_s
+        self.stall_timeout_s = min(stall_timeout_s, _MAX_STALL_WAIT_S)
         self.escalations = 0
         self.acks = _AckCounter(shard_id, plan)
         self.conn, child_conn = mp_context.Pipe(duplex=True)
+        _set_send_timeout(self.conn, self.stall_timeout_s)
         self.process = mp_context.Process(
             target=_process_worker_main,
             args=(child_conn,) + worker_args,
@@ -798,6 +629,30 @@ class _ProcessTransport:
         if code is not None:
             cause += " [worker exit code %s]" % code
         return WorkerDied(self.shard_id, cause)
+
+    def _stalled(self, what: str) -> WorkerDied:
+        """A live worker silent past the heartbeat is dead for supervision.
+
+        Tagged ``stalled`` so the supervisor counts a heartbeat timeout,
+        not a crash; its failover ``abort()`` terminates the process.
+        """
+        return WorkerDied(
+            self.shard_id,
+            "%s for %.1fs; worker process is alive but stalled, declaring "
+            "it dead" % (what, self.stall_timeout_s),
+            stalled=True,
+        )
+
+    def _send(self, message: tuple, what: str) -> None:
+        try:
+            self.conn.send(message)
+        except BlockingIOError as error:
+            # Only the send timeout makes this blocking socket raise
+            # EAGAIN: the worker stopped reading.  The torn frame is
+            # harmless -- failover abandons this pipe.
+            raise self._stalled(what) from error
+        except _PIPE_FAILURES as error:
+            raise self._died(error) from error
 
     def _drain(self, block: bool = False) -> None:
         """Absorb pending worker messages (progress / deltas / errors)."""
@@ -825,11 +680,22 @@ class _ProcessTransport:
         except _PIPE_FAILURES as error:
             raise self._died(error) from error
 
-    def send(self, batch: List[tuple]) -> None:
+    def _await(self, what: str) -> None:
+        """Block for the next worker message, bounded by the stall timeout.
+
+        The deadline restarts with every message, so a worker that keeps
+        acknowledging batches is never declared stalled.
+        """
         try:
-            self.conn.send(("batch", batch))
+            ready = self.conn.poll(self.stall_timeout_s)
         except _PIPE_FAILURES as error:
             raise self._died(error) from error
+        if not ready:
+            raise self._stalled(what)
+        self._drain(block=True)
+
+    def send(self, batch: List[tuple]) -> None:
+        self._send(("batch", batch), "batch not consumed")
         self._drain()
 
     def poll_progress(self):
@@ -842,15 +708,12 @@ class _ProcessTransport:
         return delta
 
     def snapshot_begin(self):
-        try:
-            self.conn.send(("snapshot",))
-        except _PIPE_FAILURES as error:
-            raise self._died(error) from error
+        self._send(("snapshot",), "snapshot request not consumed")
         return None
 
     def snapshot_end(self, token) -> dict:
         while self._state is None:
-            self._drain(block=True)
+            self._await("snapshot request unanswered")
         state, self._state = self._state, None
         return state
 
@@ -858,15 +721,20 @@ class _ProcessTransport:
         return self.snapshot_end(self.snapshot_begin())
 
     def finish(self) -> dict:
+        stalled = False
         try:
-            self.conn.send(("finish",))
+            self._send(("finish",), "finish request not consumed")
             while self._result is None:
-                self._drain(block=True)
+                self._await("finish unacknowledged")
             return self._result
-        except _PIPE_FAILURES as error:
-            raise self._died(error) from error
+        except WorkerDied as death:
+            # A hung worker would sit out the whole graceful join; the
+            # supervisor's failover abort() terminates it instead.
+            stalled = death.stalled
+            raise
         finally:
-            self._shutdown()
+            if not stalled:
+                self._shutdown()
 
     def _shutdown(self) -> None:
         """Escalating worker shutdown: close -> join -> terminate -> kill.
@@ -928,7 +796,7 @@ class _ProcessTransport:
         return taken
 
 
-_TRANSPORT_MODES = ("process", "thread", "serial")
+_TRANSPORT_MODES = ("process", "serial")
 
 
 class ShardedEngine:
@@ -944,7 +812,7 @@ class ShardedEngine:
         Worker count.  ``1`` delegates to :class:`RaceEngine` -- output is
         byte-identical to the unsharded engine.
     mode:
-        ``"process"`` (multi-core), ``"thread"`` or ``"serial"``.
+        ``"process"`` (multi-core) or ``"serial"``.
     policy:
         Partition policy name or instance (:mod:`repro.engine.partition`).
     batch_size:
@@ -1359,19 +1227,15 @@ class ShardedEngine:
                         ),
                         shard, mp_context, plan=plan,
                         shutdown_timeout_s=settings.shutdown_timeout_s,
+                        # Proactive restart: a hung-but-alive worker is
+                        # declared dead on heartbeat expiry even when
+                        # nothing is in flight to ack.
+                        stall_timeout_s=settings.heartbeat_s,
                     )
                 worker = _ShardWorker(
                     shard, [build_detector(spec) for spec in specs],
                     source_name, kill_at=kill_at,
                 )
-                if mode == "thread":
-                    return _ThreadTransport(
-                        worker, state, plan=plan,
-                        # Proactive restart: a hung-but-alive thread
-                        # worker is declared dead on heartbeat expiry
-                        # even when nothing is in flight to ack.
-                        stall_timeout_s=settings.heartbeat_s,
-                    )
                 return _SerialTransport(worker, state, plan=plan)
 
             return factory
@@ -1391,18 +1255,13 @@ class ShardedEngine:
         Every transport gets its snapshot request first, so the workers
         serialize their state concurrently; the coordinator then drains
         the replies in shard order -- the per-checkpoint pause is the
-        slowest single worker, not the sum (serial transports have no
-        begin/end split and run inline).
+        slowest single worker, not the sum (serial transports snapshot
+        inline in ``snapshot_begin``).
         """
-        tokens = [
-            (transport, transport.snapshot_begin())
-            if hasattr(transport, "snapshot_begin") else (transport, None)
-            for transport in transports
-        ]
+        tokens = [transport.snapshot_begin() for transport in transports]
         return [
             transport.snapshot_end(token)
-            if hasattr(transport, "snapshot_end") else transport.snapshot()
-            for transport, token in tokens
+            for transport, token in zip(transports, tokens)
         ]
 
     @staticmethod

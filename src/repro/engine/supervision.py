@@ -10,7 +10,10 @@ recovery:
   on the existing batch-ack protocol; the supervisor counts outstanding
   batches per shard and treats a configurable silence
   (``heartbeat_s``) with work outstanding -- or a worker whose
-  process/thread is simply gone -- as death.
+  process is simply gone -- as death.  The process transport bounds its
+  own send, snapshot and finish waits by the same heartbeat, so a
+  hung-but-alive worker is detected even when the coordinator is
+  blocked on it.
 * **Periodic shard snapshots** -- the PR 5 ``("snapshot",)`` message is
   driven on a cadence (``snapshot_every`` batches): the supervisor keeps
   each shard's two newest snapshots in memory, CRC-framed
@@ -72,7 +75,9 @@ class SupervisionSettings:
     ``heartbeat_s``
         Declare a worker dead after this long with batches outstanding
         and no acknowledgement progress (liveness piggybacks on the
-        batch-ack protocol; no extra messages).
+        batch-ack protocol; no extra messages).  The process transport
+        also bounds its send, snapshot and finish waits by it.  Must be
+        positive; ``inf`` never declares a stall.
     ``snapshot_every``
         Batches between periodic per-shard snapshots.  0 disables the
         cadence -- the supervisor then buffers the shard's whole
@@ -100,7 +105,7 @@ class SupervisionSettings:
     ) -> None:
         if retries < 0:
             raise ValueError("shard retries must be >= 0")
-        if heartbeat_s <= 0:
+        if not heartbeat_s > 0:  # NaN too
             raise ValueError("heartbeat timeout must be positive")
         if snapshot_every < 0:
             raise ValueError("snapshot cadence must be >= 0")
@@ -152,7 +157,7 @@ class SupervisedTransport:
     (``send`` / ``poll_progress`` / ``poll_delta`` / ``snapshot_begin``
     / ``snapshot_end`` / ``snapshot`` / ``finish`` / ``abort``), so the
     coordinator loop is oblivious to recovery.  ``factory(restore)``
-    rebuilds the underlying transport -- process, thread or serial --
+    rebuilds the underlying transport -- process or serial --
     from a worker-state dict (or fresh, on ``None``).
 
     ``recoverable=False`` (a detector without snapshot support) keeps
@@ -312,12 +317,12 @@ class SupervisedTransport:
     def _handle_death(self, death: WorkerDied) -> None:
         """Classify a transport-raised death, then fail over.
 
-        A death tagged ``stalled`` (hung-but-alive thread worker
+        A death tagged ``stalled`` (hung-but-alive worker process
         condemned on heartbeat expiry by the transport itself) is a
         heartbeat timeout, not a crash -- counted as such so operators
         can tell wedged workers from dying ones.
         """
-        if getattr(death, "stalled", False):
+        if death.stalled:
             self.stats["heartbeat_timeouts"] += 1
         self._failover(death.cause)
 

@@ -94,11 +94,11 @@ class TestUnreadableTracePath:
 
 
 class TestShardModeChoices:
-    def test_removed_ring_mode_is_an_argparse_error(self, capsys):
+    def _invalid_choice(self, capsys, mode):
         trace_path = "examples/traces/quickstart.std"
         with pytest.raises(SystemExit) as exit_info:
             main(["analyze", trace_path, "--shards", "2",
-                  "--shard-mode", "ring"])
+                  "--shard-mode", mode])
         captured = capsys.readouterr()
         assert exit_info.value.code == 2
         assert captured.out == ""
@@ -106,8 +106,79 @@ class TestShardModeChoices:
         errors = [line for line in captured.err.splitlines()
                   if "invalid choice" in line]
         assert len(errors) == 1
-        assert errors[0].startswith(
+        assert errors[0] == (
             "repro-race analyze: error: argument --shard-mode: invalid "
-            "choice: 'ring' (choose from "
+            "choice: %r (choose from 'process', 'serial')" % mode
         )
-        assert all(mode in errors[0] for mode in ("process", "thread", "serial"))
+
+    def test_removed_ring_mode_is_an_argparse_error(self, capsys):
+        self._invalid_choice(capsys, "ring")
+
+    def test_removed_thread_mode_is_an_argparse_error(self, capsys):
+        self._invalid_choice(capsys, "thread")
+
+
+class TestNumericFlagValidation:
+    """Out-of-range numbers are usage errors (exit 2, one line), never a
+    traceback -- exit 1 would read as "races found"."""
+
+    QUICKSTART = "examples/traces/quickstart.std"
+
+    @pytest.mark.parametrize("command, flag, value", [
+        ("analyze", "--shard-heartbeat", "0"),
+        ("analyze", "--shard-heartbeat", "-1"),
+        ("analyze", "--shard-heartbeat", "nan"),
+        ("analyze", "--max-events", "-1"),
+        ("analyze", "--max-events", "0"),
+        ("analyze", "--window", "-3"),
+        ("analyze", "--window", "0"),
+        ("serve", "--max-events", "-4"),
+        ("serve", "--handshake-timeout", "-1"),
+        ("serve", "--idle-evict-after", "-1"),
+        ("serve", "--idle-evict-after", "0"),
+        ("serve", "--throttle-budget", "-1"),
+        ("serve", "--max-events-per-sec", "-1"),
+        ("serve", "--max-events-per-sec", "0"),
+        ("push", "--backoff", "-1"),
+        ("push", "--connect-timeout", "-1"),
+        ("push", "--connect-timeout", "inf"),
+    ])
+    def test_one_error_line_and_exit_2(self, capsys, command, flag, value):
+        if command == "analyze":
+            argv = ["analyze", self.QUICKSTART]
+        elif command == "serve":
+            argv = ["serve", "--port", "0"]
+        else:
+            argv = ["push", self.QUICKSTART, "--port", "1"]
+        with pytest.raises(SystemExit) as exit_info:
+            main(argv + [flag, value])
+        captured = capsys.readouterr()
+        assert exit_info.value.code == 2
+        assert captured.out == ""
+        assert "Traceback" not in captured.err
+        errors = [line for line in captured.err.splitlines()
+                  if "error:" in line]
+        assert len(errors) == 1
+        assert errors[0].startswith(
+            "repro-race %s: error: argument %s: " % (command, flag)
+        )
+        assert value in errors[0]
+
+    def test_infinite_shard_heartbeat_never_stalls(self, capsys):
+        code = main(["analyze", self.QUICKSTART, "--shards", "2",
+                     "--shard-mode", "process", "--shard-heartbeat", "inf"])
+        captured = capsys.readouterr()
+        assert code == 1  # quickstart's one WCP race
+        assert "Traceback" not in captured.err
+
+    @pytest.mark.parametrize("flag, value", [
+        ("--throttle-budget", "0"),
+        ("--handshake-timeout", "0"),
+    ])
+    def test_zero_stays_valid_where_documented(self, flag, value):
+        from repro.cli import _build_parser
+
+        args = _build_parser().parse_args(
+            ["serve", "--port", "0", flag, value]
+        )
+        assert getattr(args, flag[2:].replace("-", "_")) == 0.0

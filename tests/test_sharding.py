@@ -226,15 +226,6 @@ class TestShardParity:
         )
         assert _fingerprint(single["WCP"]) == _fingerprint(sharded["WCP"])
 
-    def test_thread_mode_parity(self):
-        trace = random_trace(5, n_events=200, n_threads=5, n_vars=8)
-        single = RaceEngine().run(trace, detectors=["wcp", "hb"])
-        sharded = ShardedEngine(shards=3, mode="thread", batch_size=32).run(
-            trace, detectors=["wcp", "hb"]
-        )
-        for name in single.keys():
-            assert _fingerprint(single[name]) == _fingerprint(sharded[name])
-
     def test_process_mode_parity(self):
         trace = random_trace(9, n_events=250, n_threads=4, n_vars=8)
         single = RaceEngine().run(trace, detectors=["wcp", "hb"])

@@ -10,6 +10,11 @@ one actionable :class:`WorkerFailure`, never a raw ``EOFError``.
 """
 
 import asyncio
+import json
+import os
+import signal
+import subprocess
+import sys
 import threading
 import time
 
@@ -27,8 +32,7 @@ from repro import (
 )
 from repro.cli import main
 from repro.engine.faults import corrupt_blob
-from repro.engine.faults import WorkerDied
-from repro.engine.sharding import _ProcessTransport, _ShardWorker, _ThreadTransport
+from repro.engine.sharding import _ProcessTransport
 from repro.engine.supervision import SupervisedTransport, new_supervision_stats
 from repro.trace.event import EventType
 from repro.trace.writers import dump_trace
@@ -37,7 +41,7 @@ from conftest import random_trace
 from test_sharding import _fingerprint, fork_join_trace
 
 DETECTORS = ["wcp", "hb", "fasttrack"]
-MODES = ["serial", "thread", "process"]
+MODES = ["serial", "process"]
 
 
 def _sharded(trace, plan=None, mode="serial", shards=3, batch_size=16,
@@ -139,7 +143,7 @@ class TestFaultParity:
         # the worker is never declared dead.
         assert result.supervision["worker_restarts"] == 0
 
-    @pytest.mark.parametrize("mode", ["serial", "thread"])
+    @pytest.mark.parametrize("mode", MODES)
     def test_duplicate_ack_parity(self, mode):
         trace = random_trace(23, n_events=200, n_threads=4, n_vars=6)
         plan = FaultPlan([Fault.duplicate_ack(1, 0)])
@@ -180,7 +184,7 @@ class TestFaultParity:
             Fault.kill_worker(0, 20),
             Fault.kill_worker(2, 35),
         ])
-        result = _sharded(trace, plan, mode="thread")
+        result = _sharded(trace, plan, mode="process")
         _assert_parity(trace, result)
         assert plan.unfired() == []
         assert result.supervision["worker_restarts"] == 2
@@ -425,6 +429,8 @@ class TestSupervisionSettings:
         with pytest.raises(ValueError):
             SupervisionSettings(heartbeat_s=0)
         with pytest.raises(ValueError):
+            SupervisionSettings(heartbeat_s=float("nan"))
+        with pytest.raises(ValueError):
             SupervisionSettings(snapshot_every=-1)
 
     def test_from_config_roundtrip(self):
@@ -446,6 +452,8 @@ class TestSupervisionSettings:
             EngineConfig().with_shard_supervision(retries=-1)
         with pytest.raises(ValueError):
             EngineConfig().with_shard_supervision(heartbeat_s=0)
+        with pytest.raises(ValueError):
+            EngineConfig().with_shard_supervision(heartbeat_s=float("nan"))
         with pytest.raises(ValueError):
             EngineConfig().with_shard_supervision(backoff_s=-0.1)
         with pytest.raises(ValueError):
@@ -640,111 +648,214 @@ class TestQueueSourceGovernance:
 
 
 # --------------------------------------------------------------------- #
-# Hung-but-alive thread workers (heartbeat-expiry stall detection)
+# Hung-but-alive process workers (heartbeat-bounded transport waits)
 # --------------------------------------------------------------------- #
 
+#: How long the hung worker sleeps: bounded, so a failing run leaves no
+#: immortal orphan behind.
+_HANG_S = 30
+#: Each scenario runs in a child process under this watchdog, so a
+#: coordinator that blocks on the hung worker fails the test instead of
+#: hanging the suite.  Shorter than the hang, so waiting it out fails too.
+_WATCHDOG_S = 20
+_SRC = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir,
+                    "src")
+_TESTS = os.path.dirname(os.path.abspath(__file__))
 
-class _HungThreadWorker:
-    """A worker whose thread stays alive but never makes progress."""
+#: Patched in before any worker forks: the first worker process to claim
+#: the marker file hangs alive inside ``process_batch``; every other
+#: worker, restarted ones included, runs normally.
+_HANG_PRELUDE = """
+import json, multiprocessing, os, time
+from repro.engine.faults import WorkerDied
+from repro.engine.sharding import _ProcessTransport, _ShardWorker
+from repro.trace.event import EventType
 
-    def __init__(self, shard_id=0, hang_on_batch=0):
-        self.shard_id = shard_id
-        self.hang_on_batch = hang_on_batch
-        self.batches = 0
-        self.block = threading.Event()  # never set: alive but stalled
+_original = _ShardWorker.process_batch
 
-    def start(self):
+def _hang_first_worker(self, batch):
+    try:
+        os.close(os.open(%(marker)r, os.O_CREAT | os.O_EXCL))
+    except FileExistsError:
+        return _original(self, batch)
+    time.sleep(%(hang)d)
+    return _original(self, batch)
+
+_ShardWorker.process_batch = _hang_first_worker
+"""
+
+#: One raw process transport whose worker hangs on its first batch.
+_TRANSPORT_SCENARIO = """
+from repro.engine.checkpoint import detector_stamp
+from repro.core.wcp import WCPDetector
+
+def batch(size):
+    return [(i, "t%%d" %% (i %% 4), EventType.WRITE.value, "x%%d" %% i,
+             "a:%%d" %% i, True) for i in range(size)]
+
+transport = _ProcessTransport(
+    (0, [detector_stamp(WCPDetector())], "stall", 0, None, None),
+    0, multiprocessing.get_context(), stall_timeout_s=0.3,
+)
+started = time.monotonic()
+outcome = {"raised": False}
+try:
+%(body)s
+except WorkerDied as death:
+    outcome = {
+        "raised": True,
+        "stalled": death.stalled,
+        "cause": death.cause,
+        "elapsed_s": time.monotonic() - started,
+        "worker_alive": transport.alive(),
+    }
+finally:
+    transport.abort()
+print(json.dumps(outcome))
+"""
+
+
+def _run_watchdogged(tmp_path, scenario):
+    """Run ``scenario`` (after the hang prelude) in a watchdogged child."""
+    script = tmp_path / "scenario.py"
+    script.write_text(
+        _HANG_PRELUDE % {"marker": str(tmp_path / "hung"), "hang": _HANG_S}
+        + scenario
+    )
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([_SRC, _TESTS]))
+    child = subprocess.Popen(
+        [sys.executable, str(script)], stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE, text=True, env=env,
+        start_new_session=True,
+    )
+    try:
+        out, err = child.communicate(timeout=_WATCHDOG_S)
+        timed_out = False
+    except subprocess.TimeoutExpired:
+        timed_out = True
+    # Kill the scenario's whole session: forked workers of a blocked
+    # coordinator hold its pipes and stdout open and would outlive it.
+    try:
+        os.killpg(child.pid, signal.SIGKILL)
+    except ProcessLookupError:
         pass
-
-    def process_batch(self, batch):
-        if self.batches == self.hang_on_batch:
-            self.block.wait()
-        self.batches += 1
-
-    def progress(self):
-        return self.batches
-
-    def snapshot_state(self):
-        return {"events": 0, "blobs": []}
-
-    def finish(self):
-        return {"events": 0, "busy_s": 0.0, "blobs": []}
+    if timed_out:
+        child.communicate()
+        pytest.fail(
+            "coordinator still blocked on a hung worker after %ds"
+            % _WATCHDOG_S
+        )
+    assert child.returncode == 0, err
+    return json.loads(out.splitlines()[-1])
 
 
-class TestThreadStallDetection:
-    """Python cannot kill a thread, so a hung-but-alive thread worker
-    must be *declared* dead once the heartbeat expires -- tagged as a
-    stall so supervision counts it as a heartbeat timeout, not a crash."""
+def _transport_stall(tmp_path, body):
+    outcome = _run_watchdogged(
+        tmp_path, _TRANSPORT_SCENARIO % {"body": body}
+    )
+    assert outcome["raised"], "the hung worker was never declared dead"
+    assert outcome["stalled"]
+    assert "alive but stalled" in outcome["cause"]
+    assert outcome["worker_alive"]
+    return outcome
 
-    def test_full_queue_stall_is_declared_dead(self):
-        worker = _HungThreadWorker()
-        transport = _ThreadTransport(worker, stall_timeout_s=0.2)
+
+class TestProcessStallDetection:
+    """A hung-but-alive worker process must be *declared* dead once the
+    heartbeat expires, wherever the coordinator waits on it -- tagged as
+    a stall so supervision counts it as a heartbeat timeout, not a
+    crash."""
+
+    def test_send_into_full_pipe_is_declared_dead(self, tmp_path):
+        # The worker hangs on the first batch; later ones fill the pipe.
+        outcome = _transport_stall(tmp_path, """
+    for _ in range(500):
+        transport.send(batch(2048))
+""")
+        assert "batch not consumed" in outcome["cause"]
+
+    def test_unanswered_snapshot_is_declared_dead(self, tmp_path):
+        outcome = _transport_stall(tmp_path, """
+    transport.send(batch(8))
+    transport.snapshot_end(transport.snapshot_begin())
+""")
+        assert "snapshot request unanswered" in outcome["cause"]
+
+    def test_hung_finish_is_declared_dead(self, tmp_path):
+        outcome = _transport_stall(tmp_path, """
+    transport.send(batch(8))
+    transport.finish()
+""")
+        assert "finish unacknowledged" in outcome["cause"]
+        # No graceful shutdown join (30 s by default) for a stalled
+        # worker: failover's abort() terminates it instead.
+        assert outcome["elapsed_s"] < 10
+
+    def test_sub_microsecond_heartbeat_still_bounds_sends(self):
+        # A zero timeval would switch the send bound off entirely.
+        import multiprocessing
+        import socket
+        import struct
+
+        from repro.core.wcp import WCPDetector
+        from repro.engine.checkpoint import detector_stamp
+
+        transport = _ProcessTransport(
+            (0, [detector_stamp(WCPDetector())], "tiny", 0, None, None),
+            0, multiprocessing.get_context(), stall_timeout_s=1e-7,
+        )
         try:
-            with pytest.raises(WorkerDied) as excinfo:
-                for _ in range(32):  # 1 consumed + 8 queued, then blocked
-                    transport.send([("event",)])
-            assert getattr(excinfo.value, "stalled", False)
-            assert "alive but stalled" in str(excinfo.value)
-            assert not transport.alive()
+            with socket.socket(fileno=os.dup(transport.conn.fileno())) as s:
+                timeval = s.getsockopt(socket.SOL_SOCKET,
+                                       socket.SO_SNDTIMEO, 16)
+            # The kernel rounds the 1 us up to a scheduler tick.
+            assert struct.unpack("ll", timeval) != (0, 0)
         finally:
-            worker.block.set()
+            transport.abort()
 
-    def test_unanswered_snapshot_is_declared_dead(self):
-        worker = _HungThreadWorker()
-        transport = _ThreadTransport(worker, stall_timeout_s=0.2)
-        try:
-            transport.send([("event",)])
-            token = transport.snapshot_begin()
-            with pytest.raises(WorkerDied) as excinfo:
-                transport.snapshot_end(token)
-            assert getattr(excinfo.value, "stalled", False)
-        finally:
-            worker.block.set()
-
-    def test_hung_finish_is_declared_dead(self):
-        worker = _HungThreadWorker()
-        transport = _ThreadTransport(worker, stall_timeout_s=0.2)
-        try:
-            transport.send([("event",)])
-            with pytest.raises(WorkerDied) as excinfo:
-                transport.finish()
-            assert getattr(excinfo.value, "stalled", False)
-        finally:
-            worker.block.set()
-
-    def test_no_timeout_preserves_direct_construction(self):
-        # Serial paths and direct construction keep the pre-supervision
-        # behaviour: no deadline, a healthy worker finishes normally.
-        worker = _HungThreadWorker(hang_on_batch=10 ** 9)
-        transport = _ThreadTransport(worker)
-        assert transport.stall_timeout_s is None
-        transport.send([("event",)])
-        assert transport.finish()["events"] == 0
-
-    def test_hung_thread_worker_is_proactively_restarted(self, monkeypatch):
-        """End to end: one shard's worker thread hangs mid-run; the
-        heartbeat declares it dead, the supervisor restarts the shard
-        from snapshot+replay, and the merged report keeps parity."""
-        block = threading.Event()
-        state = {"hung": False}
-        original = _ShardWorker.process_batch
-
-        def hang_once(self, batch):
-            if not state["hung"]:
-                state["hung"] = True
-                block.wait()  # this thread never progresses again
-            return original(self, batch)
-
-        monkeypatch.setattr(_ShardWorker, "process_batch", hang_once)
-        trace = fork_join_trace(5, workers=3, steps=120)
-        try:
-            result = _sharded(trace, None, "thread", heartbeat_s=0.3)
-        finally:
-            block.set()  # release the zombie daemon thread
-        assert state["hung"]
+    @pytest.mark.parametrize("heartbeat_s", [float("inf"), 1e300])
+    def test_unbounded_heartbeat_runs_normally(self, heartbeat_s):
+        # A heartbeat past poll's range means "never stall", as it does
+        # for the ack-based liveness check.
+        trace = fork_join_trace(2, workers=3, steps=40)
+        result = _sharded(trace, mode="process", heartbeat_s=heartbeat_s)
         _assert_parity(trace, result)
-        assert result.supervision["heartbeat_timeouts"] >= 1
-        assert result.supervision["worker_restarts"] >= 1
+        assert result.supervision["heartbeat_timeouts"] == 0
+
+    def test_hung_worker_is_proactively_restarted(self, tmp_path):
+        """End to end: one shard's worker process hangs mid-run; the
+        heartbeat declares it dead, the supervisor restarts the shard
+        from snapshot+replay, and the merged report equals the unsharded
+        engine's."""
+        outcome = _run_watchdogged(tmp_path, """
+from repro import EngineConfig, RaceEngine, ShardedEngine
+from repro.analysis.export import report_to_dict
+from test_sharding import fork_join_trace
+
+def reports(result):
+    out = {}
+    for name in result.keys():
+        report = report_to_dict(result[name])
+        report.pop("stats")
+        out[name] = report
+    return out
+
+trace = fork_join_trace(5, workers=3, steps=120)
+detectors = ["wcp", "hb", "fasttrack"]
+config = EngineConfig().with_shards(3, mode="process", batch_size=16)
+config.with_shard_supervision(heartbeat_s=0.3, backoff_s=0.0,
+                              snapshot_every=4)
+sharded = ShardedEngine(config).run(trace, detectors=detectors)
+print(json.dumps({
+    "sharded": reports(sharded),
+    "single": reports(RaceEngine().run(trace, detectors=detectors)),
+    "supervision": sharded.supervision,
+}))
+""")
+        assert (tmp_path / "hung").exists()
+        assert outcome["sharded"] == outcome["single"]
+        assert outcome["supervision"]["heartbeat_timeouts"] >= 1
+        assert outcome["supervision"]["worker_restarts"] >= 1
 
 
 class TestMixedVocabularyFaults:
@@ -755,7 +866,7 @@ class TestMixedVocabularyFaults:
     generation must restore and replay to a byte-identical report.
     """
 
-    @pytest.mark.parametrize("mode", ["serial", "thread"])
+    @pytest.mark.parametrize("mode", MODES)
     def test_worker_kill_parity(self, mode):
         from repro.bench.generators import mixed_vocabulary_trace
 
